@@ -301,6 +301,18 @@ def left_pattern(a: Algebra) -> LeftMatrixPattern:
     return LeftMatrixPattern(signs, widx)
 
 
+def algebra_grid_matrices(algebra: Algebra) -> list[np.ndarray]:
+    """The n fixed grid matrices that reproduce an algebra's left pattern:
+    A_i[r, c] = sign(r, c) where the pattern's weight index is i."""
+    p = left_pattern(algebra)
+    n = algebra.n
+    mats = []
+    for i in range(n):
+        m = np.where((p.weight_indices == i) & (p.signs != 0), p.signs, 0)
+        mats.append(m.astype(np.float64))
+    return mats
+
+
 def left_matrix(a: Algebra, w: HNumber) -> np.ndarray:
     """The n x n real matrix M with M @ vec(x) = vec(w * x)."""
     _check_member(a, w)

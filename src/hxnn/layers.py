@@ -1,17 +1,22 @@
 """Algebra-bound neural layers.
 
-Every layer here stores n weight blocks and instantiates the algebra's
-left-multiplication pattern as its full weight matrix (or filter bank),
-so the free weight count is exactly 1/n of the dense equivalent.  Input
-features are laid out component-major: the first d/n features are the
-real parts, the next d/n the first imaginary parts, and so on.
+Every layer here stores n weight blocks F_i and builds its full weight
+matrix (or filter bank) as the Kronecker sum W = sum_i A_i (x) F_i with
+``tensor.kron_sum``, where the A_i are the algebra's fixed signed grid
+matrices (``algebra.algebra_grid_matrices``).  W places +-F_i in every
+cell of the left-multiplication pattern, so the free weight count is
+exactly 1/n of the dense equivalent.  Input features are laid out
+component-major: the first d/n features are the real parts, the next d/n
+the first imaginary parts, and so on.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from . import tensor as T
-from .algebra import Algebra, left_pattern
+from .algebra import Algebra, algebra_grid_matrices
 from .errors import DivisibilityError, ShapeError
 
 ACTIVATIONS = {
@@ -45,30 +50,20 @@ class Layer:
         return self.forward(x)
 
 
-def _assemble_from_pattern(algebra: Algebra, blocks, zero_shape):
-    """Stack sign * block over the n x n grid of the left pattern."""
-    p = left_pattern(algebra)
-    n = algebra.n
-    zero = None
-    rows = []
-    for r in range(n):
-        cells = []
-        for c in range(n):
-            s = int(p.signs[r, c])
-            if s == 0:
-                if zero is None:
-                    zero = T.Tensor(np.zeros(zero_shape))
-                cells.append(zero)
-            else:
-                blk = blocks[int(p.weight_indices[r, c])]
-                cells.append(blk if s == 1 else T.neg(blk))
-        rows.append(T.concat(cells, axis=1))
-    return T.concat(rows, axis=0)
+@lru_cache(maxsize=None)
+def _grid_tensors(algebra: Algebra) -> tuple:
+    """The algebra's grid matrices as constant read-only tensors, built
+    once per algebra and shared by every layer over it."""
+    mats = algebra_grid_matrices(algebra)
+    for m in mats:
+        m.setflags(write=False)
+    return tuple(T.Tensor(m) for m in mats)
 
 
 class HFCLayer(Layer):
     """Fully connected layer over a fixed algebra: y = act(W x + b)
-    with W the block instantiation of the algebra's left pattern."""
+    with W the Kronecker sum of the algebra's grid matrices and the
+    (s/n, d/n) weight blocks."""
 
     def __init__(self, algebra: Algebra, d, s, activation="relu", bias=True, rng=None):
         n = algebra.n
@@ -82,10 +77,7 @@ class HFCLayer(Layer):
         self.bias = T.Tensor(np.zeros(s), requires_grad=True) if bias else None
 
     def assembled(self) -> T.Tensor:
-        n = self.algebra.n
-        return _assemble_from_pattern(
-            self.algebra, self.blocks, (self.s // n, self.d // n)
-        )
+        return T.kron_sum(_grid_tensors(self.algebra), self.blocks)
 
     def forward(self, x):
         if x.data.ndim != 2 or x.data.shape[1] != self.d:
@@ -105,7 +97,8 @@ class HFCLayer(Layer):
 
 
 class HConv2DLayer(Layer):
-    """2-d convolution whose filter bank is the left-pattern block grid."""
+    """2-d convolution whose filter bank is the Kronecker sum of the
+    algebra's grid matrices and the (out/n, in/n, k, k) blocks."""
 
     def __init__(self, algebra: Algebra, in_channels, out_channels, kernel,
                  stride=1, padding=0, activation="relu", bias=True, rng=None):
@@ -123,9 +116,7 @@ class HConv2DLayer(Layer):
         self.bias = T.Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
     def assembled(self) -> T.Tensor:
-        n = self.algebra.n
-        shape = (self.out_channels // n, self.in_channels // n, self.kernel, self.kernel)
-        return _assemble_from_pattern(self.algebra, self.blocks, shape)
+        return T.kron_sum(_grid_tensors(self.algebra), self.blocks)
 
     def forward(self, x):
         if x.data.ndim != 4:
@@ -238,16 +229,6 @@ class HGraphConvLayer(Layer):
 
     def param_count(self):
         return self.inner.param_count()
-
-
-def assemble_weight(layer) -> T.Tensor:
-    """Full weight matrix / filter bank of an algebra-bound layer."""
-    return layer.assembled()
-
-
-def param_count(layer):
-    """(free parameters, dense-equivalent parameters) of any layer."""
-    return layer.param_count()
 
 
 def pad_channels(x: T.Tensor, n: int) -> T.Tensor:

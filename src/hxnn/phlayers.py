@@ -2,9 +2,10 @@
 
 Instead of a fixed algebra, these layers learn the n x n grid matrices
 A_i alongside the weight blocks F_i; the effective weight is the
-Kronecker sum  W = sum_i A_i (x) F_i.  Any integer n >= 1 is legal (in
-particular n = 3 for RGB inputs).  Freezing the A_i to a built-in
-algebra's left pattern collapses the layer back to its algebra-bound
+Kronecker sum  W = sum_i A_i (x) F_i, built by ``tensor.kron_sum`` just
+as the algebra-bound layers build theirs.  Any integer n >= 1 is legal
+(in particular n = 3 for RGB inputs).  Freezing the A_i to a built-in
+algebra's grid matrices collapses the layer back to its algebra-bound
 counterpart exactly.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .algebra import Algebra, left_pattern
+from .algebra import Algebra, algebra_grid_matrices
 from .errors import AlgebraMismatch, DivisibilityError, ShapeError
 from .layers import ACTIVATIONS, Layer, _check_divisible
 
@@ -28,18 +29,6 @@ def _init_a(rng, n):
 def _init_f(rng, n, shape, fan_in):
     std = np.sqrt(2.0 / (fan_in / n))
     return [T.Tensor(rng.standard_normal(shape) * std, requires_grad=True) for _ in range(n)]
-
-
-def algebra_grid_matrices(algebra: Algebra) -> list[np.ndarray]:
-    """The n fixed grid matrices that reproduce an algebra's left pattern:
-    A_i[r, c] = sign(r, c) where the pattern's weight index is i."""
-    p = left_pattern(algebra)
-    n = algebra.n
-    mats = []
-    for i in range(n):
-        m = np.where((p.weight_indices == i) & (p.signs != 0), p.signs, 0)
-        mats.append(m.astype(np.float64))
-    return mats
 
 
 class PHMLayer(Layer):
@@ -59,10 +48,7 @@ class PHMLayer(Layer):
         self.bias = T.Tensor(np.zeros(s), requires_grad=True) if bias else None
 
     def weight(self) -> T.Tensor:
-        w = T.kron(self.a[0], self.f[0])
-        for ai, fi in zip(self.a[1:], self.f[1:]):
-            w = T.add(w, T.kron(ai, fi))
-        return w
+        return T.kron_sum(self.a, self.f)
 
     def forward(self, x):
         squeeze = False
@@ -90,7 +76,8 @@ class PHMLayer(Layer):
     def param_count(self):
         n = self.n
         nb = self.s if self.bias is not None else 0
-        return n**3 + self.s * self.d // n + nb, self.s * self.d + nb
+        grids = sum(a.data.size for a, fr in zip(self.a, self.a_frozen) if not fr)
+        return grids + self.s * self.d // n + nb, self.s * self.d + nb
 
 
 class PHCLayer(Layer):
@@ -114,10 +101,7 @@ class PHCLayer(Layer):
         self.bias = T.Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
     def weight(self) -> T.Tensor:
-        w = T.blockwise_kron2d(self.a[0], self.f[0])
-        for ai, fi in zip(self.a[1:], self.f[1:]):
-            w = T.add(w, T.blockwise_kron2d(ai, fi))
-        return w
+        return T.kron_sum(self.a, self.f)
 
     def forward(self, x):
         if x.data.ndim != 4:
@@ -143,7 +127,8 @@ class PHCLayer(Layer):
         k2 = self.kernel * self.kernel
         nb = self.out_channels if self.bias is not None else 0
         dense = self.out_channels * self.in_channels * k2
-        return n**3 + dense // n + nb, dense + nb
+        grids = sum(a.data.size for a, fr in zip(self.a, self.a_frozen) if not fr)
+        return grids + dense // n + nb, dense + nb
 
 
 class PHAttBlock(Layer):
@@ -230,11 +215,6 @@ class PHGraphLayer(Layer):
 
     def param_count(self):
         return self.inner.param_count()
-
-
-def phm_weight(layer) -> T.Tensor:
-    """The assembled Kronecker-sum weight of a PHM-family layer."""
-    return layer.weight()
 
 
 def collapse_to_algebra(layer, algebra: Algebra):

@@ -308,6 +308,47 @@ def blockwise_kron2d(a: Tensor, f: Tensor) -> Tensor:
     return _node(out, (a, f), vjp)
 
 
+def kron_sum(a_list, f_list) -> Tensor:
+    """Kronecker sum W = sum_i A_i (x) F_i of n grid matrices A_i (n, n)
+    and n blocks F_i, either (p, q) -> (n*p, n*q) or conv filter banks
+    (p, q, kh, kw) -> (n*p, n*q, kh, kw), expanded over the channel axes.
+
+    One GEMM with inner dimension n builds every block cell at once:
+    cell (r, c) of W is sum_i A_i[r, c] F_i.  The vector-Jacobian product
+    is one GEMM for the F_i, plus one for the A_i only when one of them
+    requires grad (constant algebra grids never do).
+    """
+    a_list, f_list = tuple(a_list), tuple(f_list)
+    n = len(a_list)
+    block = f_list[0].data.shape if f_list else ()
+    if (n == 0 or len(f_list) != n or len(block) not in (2, 4)
+            or any(t.data.shape != (n, n) for t in a_list)
+            or any(t.data.shape != block for t in f_list)):
+        raise ShapeError(
+            f"kron_sum: grids {[t.data.shape for t in a_list]} "
+            f"and blocks {[t.data.shape for t in f_list]}"
+        )
+    p, q, *k = block
+    a2 = np.stack([t.data for t in a_list]).reshape(n, n * n)  # [i, (r, c)]
+    f2 = np.stack([t.data for t in f_list]).reshape(n, -1)     # [i, (p, q, k...)]
+    cells = (n, n, p, q, *k)
+    perm = (0, 2, 1, 3, *range(4, len(cells)))  # (r, c, p, q) <-> (r, p, c, q)
+    out = (a2.T @ f2).reshape(cells).transpose(perm).reshape(n * p, n * q, *k)
+    learn_a = any(t.requires_grad for t in a_list)
+
+    def vjp(g):
+        g2 = g.reshape(n, p, n, q, *k).transpose(perm).reshape(n * n, -1)
+        # Written as G'^T A^T, BLAS accumulates the n*n cells of each block
+        # in row-major order (blocks of one entry excepted, which take its
+        # vector path), so an algebra-bound layer's block gradients equal,
+        # bit for bit, the sum of its +-G cells taken one by one.
+        gf = (g2.T @ a2.T).T.reshape(n, *block)
+        ga = (f2 @ g2.T).reshape(n, n, n) if learn_a else (None,) * n
+        return (*ga, *gf)
+
+    return _node(out, a_list + f_list, vjp)
+
+
 # -----------------------------------------------------------------------------
 # convolution
 

@@ -32,6 +32,36 @@ def test_adam_first_step_magnitude_is_lr():
         assert abs(abs(w.data[0]) - 0.01) < 1e-6
 
 
+def test_adam_in_place_matches_textbook_form_bit_for_bit():
+    def textbook(ws, grads, steps, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+        m = [np.zeros_like(w) for w in ws]
+        v = [np.zeros_like(w) for w in ws]
+        ws = [w.copy() for w in ws]
+        for t in range(1, steps + 1):
+            for i, w in enumerate(ws):
+                g = grads(t, i)
+                g = np.zeros_like(w) if g is None else g
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                w -= lr * (m[i] / (1 - b1**t)) / (np.sqrt(v[i] / (1 - b2**t)) + eps)
+        return ws
+
+    r = np.random.default_rng(3)
+    start = [r.standard_normal((4, 3)), r.standard_normal(5)]
+    table = {(t, i): (None if (t + i) % 3 == 0 else r.standard_normal(w.shape))
+             for t in range(1, 8) for i, w in enumerate(start)}
+    params = [T.Tensor(w.copy(), requires_grad=True) for w in start]
+    state = {}
+    for t in range(1, 8):
+        for i, p in enumerate(params):
+            p.grad = table[(t, i)]
+        moments = state.get("m", []) + state.get("v", [])
+        tr.adam_step(params, state, 0.01)
+        assert all(a is b for a, b in zip(moments, state["m"] + state["v"]))
+    expect = textbook(start, lambda t, i: table[(t, i)], 7)
+    assert all(np.array_equal(p.data, w) for p, w in zip(params, expect))
+
+
 def test_mse_zero_on_equal_and_gradcheck():
     x = np.arange(6.0).reshape(2, 3)
     assert tr.mse(T.Tensor(x), x).item() == 0.0
