@@ -3,6 +3,7 @@ library call; validation failures exit 1, I/O failures exit 2."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -76,43 +77,55 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# The config file "section.key" of each experiment field the CLI sets;
+# the defaults and value types are the config dataclass's own.
+EXPERIMENT_KEYS = {
+    ex.LorenzConfig: {"seed": "train.seed", "num_seeds": "train.num_seeds",
+                      "trajectories": "data.count", "steps": "data.steps", "dt": "data.dt",
+                      "sample_every": "data.sample_every", "window": "data.window",
+                      "epochs": "train.epochs", "batch_size": "train.batch_size",
+                      "lr": "train.lr", "offsets": "data.offsets"},
+    ex.BlobsConfig: {"seed": "train.seed", "samples_per_class": "data.samples_per_class",
+                     "image_size": "data.size", "channels": "model.channels",
+                     "epochs": "train.epochs", "batch_size": "train.batch_size",
+                     "lr": "train.lr"},
+}
+
+
+def _experiment_config(cls, cfg: dict, seed):
+    """The ``cls`` experiment config set from the parsed config file
+    ``cfg``, then ``seed`` if given; fields the file leaves out keep the
+    dataclass defaults."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    values = {}
+    for name, path in EXPERIMENT_KEYS[cls].items():
+        section, key = path.split(".")
+        raw = cfg.get(section, {}).get(key)
+        if raw is None:
+            continue
+        default = defaults[name]
+        try:
+            if isinstance(default, tuple):
+                values[name] = tuple(type(default[0])(v) for v in raw.split(","))
+            else:
+                values[name] = type(default)(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+    if seed is not None:
+        values["seed"] = seed
+    return cls(**values)
+
+
 def cmd_experiment(args) -> int:
     out = Path(args.out)
     cfg = cfgmod.load_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(cfg.get("train", {}).get("seed", 0))
-    if args.experiment_cmd == "lorenz":
-        lcfg = ex.LorenzConfig(
-            seed=seed,
-            num_seeds=int(cfg.get("train", {}).get("num_seeds", 5)),
-            trajectories=int(cfg.get("data", {}).get("count", 12)),
-            steps=int(cfg.get("data", {}).get("steps", 1600)),
-            dt=float(cfg.get("data", {}).get("dt", 0.01)),
-            sample_every=int(cfg.get("data", {}).get("sample_every", 10)),
-            window=int(cfg.get("data", {}).get("window", 8)),
-            epochs=int(cfg.get("train", {}).get("epochs", 400)),
-            batch_size=int(cfg.get("train", {}).get("batch_size", 128)),
-            lr=float(cfg.get("train", {}).get("lr", 5e-3)),
-            offsets=tuple(float(v) for v in
-                          cfg.get("data", {}).get("offsets", "1,5,10").split(",")),
-        )
-        report = ex.experiment_lorenz_equivariance(lcfg)
-        print(report.summary, end="")
-        _write(out, "lorenz.csv", report.csv)
-        _write(out, "lorenz_summary.txt", report.summary)
-    else:  # blobs
-        bcfg = ex.BlobsConfig(
-            seed=seed,
-            samples_per_class=int(cfg.get("data", {}).get("samples_per_class", 600)),
-            image_size=int(cfg.get("data", {}).get("size", 16)),
-            channels=int(cfg.get("model", {}).get("channels", 24)),
-            epochs=int(cfg.get("train", {}).get("epochs", 20)),
-            batch_size=int(cfg.get("train", {}).get("batch_size", 64)),
-            lr=float(cfg.get("train", {}).get("lr", 3e-3)),
-        )
-        report = ex.experiment_blobs(bcfg)
-        print(report.summary, end="")
-        _write(out, "blobs.csv", report.csv)
-        _write(out, "blobs_summary.txt", report.summary)
+    name = args.experiment_cmd
+    run, cls = {"lorenz": (ex.experiment_lorenz_equivariance, ex.LorenzConfig),
+                "blobs": (ex.experiment_blobs, ex.BlobsConfig)}[name]
+    report = run(_experiment_config(cls, cfg, args.seed))
+    print(report.summary, end="")
+    _write(out, f"{name}.csv", report.csv)
+    _write(out, f"{name}_summary.txt", report.summary)
     return 0
 
 

@@ -201,7 +201,9 @@ def equivariance_report(predict, transform_family, inputs, targets, magnitudes,
     ``predict`` maps point windows (N, w, 3) to predicted points (N, 3).
     Translation adds the scalar magnitude to every coordinate; rotation
     turns all points by the magnitude (radians) about ``axis``.
-    Returns one :class:`EquivarianceRow` per magnitude.
+    Returns one :class:`EquivarianceRow` per magnitude; its ratio is
+    mse_transformed / mse_base, or, when mse_base is 0, 1.0 if
+    mse_transformed is 0 too and inf if not.
     """
     if transform_family not in ("translation", "rotation"):
         raise ValueError(f"unknown transform family {transform_family!r}")
@@ -215,5 +217,6 @@ def equivariance_report(predict, transform_family, inputs, targets, magnitudes,
         else:
             ti, tt = _rotate(inputs, m, axis), _rotate(targets, m, axis)
         mse = float(np.mean((predict(ti) - tt) ** 2))
-        rows.append(EquivarianceRow(float(m), base_mse, mse, mse / base_mse))
+        ratio = mse / base_mse if base_mse else (1.0 if mse == 0.0 else np.inf)
+        rows.append(EquivarianceRow(float(m), base_mse, mse, ratio))
     return rows

@@ -1,13 +1,14 @@
-"""Algebra-bound neural layers.
+"""Kronecker-sum layers: W = sum_i A_i (x) F_i over n grid matrices
+A_i (n, n) and n weight blocks F_i, built by ``tensor.kron_sum``.
 
-Every layer here stores n weight blocks F_i and builds its full weight
-matrix (or filter bank) as the Kronecker sum W = sum_i A_i (x) F_i with
-``tensor.kron_sum``, where the A_i are the algebra's fixed signed grid
-matrices (``algebra.algebra_grid_matrices``).  W places +-F_i in every
-cell of the left-multiplication pattern, so the free weight count is
-exactly 1/n of the dense equivalent.  Input features are laid out
-component-major: the first d/n features are the real parts, the next d/n
-the first imaginary parts, and so on.
+``KronLayer`` holds that state; ``KronLinear``, ``KronConv2D`` and
+``KronGraph`` are the one FC, conv and graph forward of both layer
+families.  The algebra-bound layers here pass the algebra's fixed signed
+grid matrices as constants, so W places +-F_i in every cell of the
+left-multiplication pattern and has 1/n of a dense layer's free weights;
+the PHM family in ``phlayers`` passes learned grids.  Features are laid
+out component-major: the first d/n are the real parts, the next d/n the
+first imaginary parts, and so on.
 """
 from __future__ import annotations
 
@@ -30,11 +31,6 @@ def _check_divisible(value, n, what):
     if value % n:
         raise DivisibilityError(f"{what}={value} is not divisible by n={n}")
     return value // n
-
-
-def _he_blocks(rng, n, shape, fan_in):
-    std = np.sqrt(2.0 / fan_in)
-    return [T.Tensor(rng.standard_normal(shape) * std, requires_grad=True) for _ in range(n)]
 
 
 class Layer:
@@ -60,63 +56,85 @@ def _grid_tensors(algebra: Algebra) -> tuple:
     return tuple(T.Tensor(m) for m in mats)
 
 
-class HFCLayer(Layer):
-    """Fully connected layer over a fixed algebra: y = act(W x + b)
-    with W the Kronecker sum of the algebra's grid matrices and the
-    (s/n, d/n) weight blocks."""
+class KronLayer(Layer):
+    """Grid matrices ``a``, weight blocks ``f`` and an optional bias of
+    ``out`` entries; the weight is W = sum_i a[i] (x) f[i].  The blocks
+    have shape ``block`` and are He-initialised over ``fan_in`` inputs.
 
-    def __init__(self, algebra: Algebra, d, s, activation="relu", bias=True, rng=None):
-        n = algebra.n
-        self.algebra = algebra
-        self.d, self.s = d, s
-        self.activation = activation
-        d_blk = _check_divisible(d, n, "input features d")
-        s_blk = _check_divisible(s, n, "output features s")
+    A grid matrix is trained exactly when it requires grad: constant
+    algebra grids and frozen learned grids do not.  Subclasses define
+    ``weight()``, which the forward passes call.
+    """
+
+    def __init__(self, a, block, fan_in, out, bias, rng):
         rng = rng or np.random.default_rng(0)
-        self.blocks = _he_blocks(rng, n, (s_blk, d_blk), d)
-        self.bias = T.Tensor(np.zeros(s), requires_grad=True) if bias else None
+        std = np.sqrt(2.0 / fan_in)
+        self.a = list(a)
+        self.f = [T.Tensor(rng.standard_normal(block) * std, requires_grad=True) for _ in self.a]
+        self.bias = T.Tensor(np.zeros(out), requires_grad=True) if bias else None
 
-    def assembled(self) -> T.Tensor:
-        return T.kron_sum(_grid_tensors(self.algebra), self.blocks)
-
-    def forward(self, x):
-        if x.data.ndim != 2 or x.data.shape[1] != self.d:
-            raise ShapeError(f"expected (batch, {self.d}), got {x.data.shape}")
-        y = T.matmul(x, T.transpose(self.assembled()))
-        if self.bias is not None:
-            y = T.bias_add(y, self.bias)
-        return ACTIVATIONS[self.activation](y)
+    @property
+    def a_frozen(self):
+        """Per grid matrix, True when it is not trained."""
+        return [not a.requires_grad for a in self.a]
 
     def parameters(self):
-        return self.blocks + ([self.bias] if self.bias is not None else [])
+        ps = [a for a in self.a if a.requires_grad] + self.f
+        if self.bias is not None:
+            ps.append(self.bias)
+        return ps
 
     def param_count(self):
-        n = self.algebra.n
-        nb = self.s if self.bias is not None else 0
-        return self.s * self.d // n + nb, self.s * self.d + nb
+        """(free, dense): trainable entries, and those of the dense weight
+        W plus the bias."""
+        n, block = len(self.f), self.f[0].data.size
+        nb = self.bias.data.size if self.bias is not None else 0
+        grids = sum(a.data.size for a in self.a if a.requires_grad)
+        return grids + n * block + nb, n * n * block + nb
 
 
-class HConv2DLayer(Layer):
-    """2-d convolution whose filter bank is the Kronecker sum of the
-    algebra's grid matrices and the (out/n, in/n, k, k) blocks."""
+class KronLinear(KronLayer):
+    """y = act(W x + b) with W of shape (s, d), from (s/n, d/n) blocks.
+    A (batch, tokens, d) input is folded to (batch * tokens, d) and
+    unfolded after."""
 
-    def __init__(self, algebra: Algebra, in_channels, out_channels, kernel,
-                 stride=1, padding=0, activation="relu", bias=True, rng=None):
-        n = algebra.n
-        self.algebra = algebra
+    def __init__(self, a, d, s, activation, bias, rng, fan_in):
+        d_blk = _check_divisible(d, len(a), "input features d")
+        s_blk = _check_divisible(s, len(a), "output features s")
+        self.d, self.s = d, s
+        self.activation = activation
+        super().__init__(a, (s_blk, d_blk), fan_in, s, bias, rng)
+
+    def forward(self, x):
+        squeeze = False
+        if x.data.ndim == 3:  # (batch, tokens, features): fold tokens in
+            b, t, feats = x.data.shape
+            x = T.reshape(x, (b * t, feats))
+            squeeze = (b, t)
+        if x.data.ndim != 2 or x.data.shape[1] != self.d:
+            raise ShapeError(f"expected (batch, {self.d}), got {x.data.shape}")
+        y = T.matmul(x, T.transpose(self.weight()))
+        if self.bias is not None:
+            y = T.bias_add(y, self.bias)
+        y = ACTIVATIONS[self.activation](y)
+        if squeeze:
+            y = T.reshape(y, (squeeze[0], squeeze[1], self.s))
+        return y
+
+
+class KronConv2D(KronLayer):
+    """2-d convolution whose filter bank is W, expanded over the
+    (out-block, in-block) channel grid from (out/n, in/n, k, k) blocks;
+    spatial dims live in F only."""
+
+    def __init__(self, a, in_channels, out_channels, kernel, stride, padding,
+                 activation, bias, rng, fan_in):
+        ci = _check_divisible(in_channels, len(a), "in_channels")
+        co = _check_divisible(out_channels, len(a), "out_channels")
         self.in_channels, self.out_channels = in_channels, out_channels
         self.kernel, self.stride, self.padding = kernel, stride, padding
         self.activation = activation
-        ci = _check_divisible(in_channels, n, "in_channels")
-        co = _check_divisible(out_channels, n, "out_channels")
-        rng = rng or np.random.default_rng(0)
-        self.blocks = _he_blocks(
-            rng, n, (co, ci, kernel, kernel), in_channels * kernel * kernel
-        )
-        self.bias = T.Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
-
-    def assembled(self) -> T.Tensor:
-        return T.kron_sum(_grid_tensors(self.algebra), self.blocks)
+        super().__init__(a, (co, ci, kernel, kernel), fan_in, out_channels, bias, rng)
 
     def forward(self, x):
         if x.data.ndim != 4:
@@ -125,20 +143,46 @@ class HConv2DLayer(Layer):
             raise ShapeError(
                 f"expected {self.in_channels} channels, got {x.data.shape[1]}"
             )
-        y = T.conv2d(x, self.assembled(), stride=self.stride, padding=self.padding)
+        y = T.conv2d(x, self.weight(), stride=self.stride, padding=self.padding)
         if self.bias is not None:
             y = T.bias_add(y, self.bias)
         return ACTIVATIONS[self.activation](y)
 
-    def parameters(self):
-        return self.blocks + ([self.bias] if self.bias is not None else [])
 
-    def param_count(self):
-        n = self.algebra.n
-        k2 = self.kernel * self.kernel
-        nb = self.out_channels if self.bias is not None else 0
-        dense = self.out_channels * self.in_channels * k2
-        return dense // n + nb, dense + nb
+class HFCLayer(KronLinear):
+    """Fully connected layer over a fixed algebra: y = act(W x + b)
+    with W the Kronecker sum of the algebra's grid matrices and the
+    (s/n, d/n) weight blocks ``blocks``."""
+
+    def __init__(self, algebra: Algebra, d, s, activation="relu", bias=True, rng=None):
+        self.algebra = algebra
+        super().__init__(_grid_tensors(algebra), d, s, activation, bias, rng, fan_in=d)
+        self.blocks = self.f
+
+    def assembled(self) -> T.Tensor:
+        return T.kron_sum(self.a, self.f)
+
+    def weight(self) -> T.Tensor:
+        return self.assembled()
+
+
+class HConv2DLayer(KronConv2D):
+    """2-d convolution whose filter bank is the Kronecker sum of the
+    algebra's grid matrices and the (out/n, in/n, k, k) ``blocks``."""
+
+    def __init__(self, algebra: Algebra, in_channels, out_channels, kernel,
+                 stride=1, padding=0, activation="relu", bias=True, rng=None):
+        self.algebra = algebra
+        super().__init__(_grid_tensors(algebra), in_channels, out_channels, kernel,
+                         stride, padding, activation, bias, rng,
+                         fan_in=in_channels * kernel * kernel)
+        self.blocks = self.f
+
+    def assembled(self) -> T.Tensor:
+        return T.kron_sum(self.a, self.f)
+
+    def weight(self) -> T.Tensor:
+        return self.assembled()
 
 
 class HAttBlock(Layer):
@@ -202,21 +246,20 @@ class Graph:
         self.normalized_adjacency = a * dinv[:, None] * dinv[None, :]
 
 
-class HGraphConvLayer(Layer):
-    """Graph aggregation with an algebra-patterned weight:
-    H' = act(A_hat @ H @ W^T + b)."""
+class KronGraph(Layer):
+    """Graph aggregation through an inner ``KronLinear`` (no activation,
+    with bias): H' = act(A_hat @ H @ W^T + b)."""
 
-    def __init__(self, algebra: Algebra, d, s, activation="relu", rng=None):
-        self.inner = HFCLayer(algebra, d, s, activation="none", bias=True, rng=rng)
-        self.algebra = algebra
-        self.d, self.s = d, s
+    def __init__(self, inner: KronLinear, activation):
+        self.inner = inner
+        self.d, self.s = inner.d, inner.s
         self.activation = activation
 
     def forward_graph(self, graph: Graph, features: T.Tensor | None = None):
         h = features if features is not None else T.Tensor(graph.features)
         if h.data.shape[1] != self.d:
             raise ShapeError(f"expected (nodes, {self.d}), got {h.data.shape}")
-        mixed = T.matmul(h, T.transpose(self.inner.assembled()))
+        mixed = T.matmul(h, T.transpose(self.inner.weight()))
         agg = T.matmul(T.Tensor(graph.normalized_adjacency), mixed)
         agg = T.bias_add(agg, self.inner.bias)
         return ACTIVATIONS[self.activation](agg)
@@ -229,6 +272,15 @@ class HGraphConvLayer(Layer):
 
     def param_count(self):
         return self.inner.param_count()
+
+
+class HGraphConvLayer(KronGraph):
+    """Graph aggregation with an algebra-patterned weight."""
+
+    def __init__(self, algebra: Algebra, d, s, activation="relu", rng=None):
+        self.algebra = algebra
+        super().__init__(HFCLayer(algebra, d, s, activation="none", bias=True, rng=rng),
+                         activation)
 
 
 def pad_channels(x: T.Tensor, n: int) -> T.Tensor:

@@ -35,10 +35,6 @@ def _bool_list(flags):
     return ",".join("1" if f else "0" for f in flags)
 
 
-def _parse_bools(text):
-    return [v == "1" for v in text.split(",")]
-
-
 # --- per-kind (describe, rebuild) ---------------------------------------------
 # describe(layer) -> (cfg dict, ordered param tensors)
 # rebuild(cfg) -> fresh layer with the same shapes
@@ -49,27 +45,24 @@ def _describe(layer):
         return "hfc", {
             "algebra": layer.algebra.name, "d": layer.d, "s": layer.s,
             "activation": layer.activation, "bias": int(layer.bias is not None),
-        }, layer.blocks + ([layer.bias] if layer.bias is not None else [])
+        }, layer.parameters()
     if isinstance(layer, HConv2DLayer):
         return "hconv2d", {
             "algebra": layer.algebra.name,
             "in": layer.in_channels, "out": layer.out_channels,
             "kernel": layer.kernel, "stride": layer.stride, "padding": layer.padding,
             "activation": layer.activation, "bias": int(layer.bias is not None),
-        }, layer.blocks + ([layer.bias] if layer.bias is not None else [])
+        }, layer.parameters()
     if isinstance(layer, HAttBlock):
-        params = []
-        for sub in (layer.feature, layer.fuse, layer.proj):
-            params += sub.blocks + [sub.bias]
         return "hatt", {
             "algebra": layer.algebra.name, "channels": layer.channels,
             "kernel": layer.feature.kernel, "gate": layer.gate,
-        }, params
+        }, layer.parameters()
     if isinstance(layer, HGraphConvLayer):
         return "hgraph", {
             "algebra": layer.algebra.name, "d": layer.d, "s": layer.s,
             "activation": layer.activation,
-        }, layer.inner.blocks + [layer.inner.bias]
+        }, layer.parameters()
     if isinstance(layer, PHMLayer):
         return "phm", {
             "n": layer.n, "d": layer.d, "s": layer.s,
@@ -85,8 +78,7 @@ def _describe(layer):
         }, layer.a + layer.f + ([layer.bias] if layer.bias is not None else [])
     if isinstance(layer, PHAttBlock):
         params = []
-        subs = [layer.q, layer.k, layer.v] + ([layer.out] if layer.out else [])
-        for sub in subs:
+        for sub in layer.projections:
             params += sub.a + sub.f + [sub.bias]
         return "phatt", {
             "n": layer.n, "features": layer.features, "heads": layer.heads,
@@ -112,10 +104,13 @@ def _describe(layer):
 
 def _apply_frozen(layer, cfg):
     if "frozen" in cfg:
-        flags = _parse_bools(cfg["frozen"])
-        layer.a_frozen = flags
+        flags = cfg["frozen"].split(",")
+        if len(flags) != len(layer.a) or any(f not in ("0", "1") for f in flags):
+            raise FormatError(
+                f"frozen={cfg['frozen']!r}: want {len(layer.a)} comma-separated 0/1 flags"
+            )
         for a, fr in zip(layer.a, flags):
-            a.requires_grad = not fr
+            a.requires_grad = fr == "0"
     return layer
 
 
@@ -146,7 +141,7 @@ def _rebuild(kind, cfg):
     if kind == "phatt":
         block = PHAttBlock(int(cfg["n"]), int(cfg["features"]), heads=int(cfg["heads"]),
                            activation=cfg["activation"], mode=cfg["mode"])
-        for sub in (block.q, block.k, block.v) + ((block.out,) if block.out else ()):
+        for sub in block.projections:
             _apply_frozen(sub, cfg)
         return block
     if kind == "phgraph":

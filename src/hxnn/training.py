@@ -13,7 +13,7 @@ from . import geometry as G
 from . import tensor as T
 from .algebra import builtin
 from .errors import ShapeError
-from .layers import HConv2DLayer, HFCLayer, Layer
+from .layers import HConv2DLayer, HFCLayer, KronConv2D, Layer
 from .phlayers import PHCLayer, PHMLayer
 
 LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA = 10.0, 28.0, 8.0 / 3.0
@@ -397,12 +397,8 @@ def blobs_classifier(kind, seed, channels=24, classes=4):
 
 def conv_weight_count(net: Network) -> int:
     """Free weight parameters of the convolutional layers (bias excluded)."""
-    total = 0
-    for layer in net.layers:
-        if isinstance(layer, (PHCLayer, HConv2DLayer)):
-            free, _ = layer.param_count()
-            total += free - (layer.out_channels if layer.bias is not None else 0)
-    return total
+    return sum(p.data.size for layer in net.layers if isinstance(layer, KronConv2D)
+               for p in layer.parameters() if p is not layer.bias)
 
 
 # --- Lorenz forecasters ------------------------------------------------------

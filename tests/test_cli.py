@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hxnn import config as C
+from hxnn import experiments as ex
 from hxnn import serialize as S
 from hxnn import training as tr
 from hxnn.algebra import builtin
@@ -225,3 +228,40 @@ def test_cli_missing_file_exits_two(capsys, tmp_path):
 def test_cli_gradcheck_exit_zero(capsys):
     assert main(["gradcheck"]) == 0
     assert "worst=" in capsys.readouterr().out
+
+
+def experiment_configs(monkeypatch, tmp_path, argv):
+    """Run ``hxnn experiment ...`` with the experiments stubbed out and
+    return the config objects the CLI built."""
+    seen = []
+
+    def stub(cfg):
+        seen.append(cfg)
+        return SimpleNamespace(summary="", csv="")
+
+    monkeypatch.setattr(ex, "experiment_blobs", stub)
+    monkeypatch.setattr(ex, "experiment_lorenz_equivariance", stub)
+    assert main(["experiment", *argv, "--out", str(tmp_path / "out")]) == 0
+    return seen
+
+
+def test_cli_experiment_defaults_are_the_config_dataclasses(monkeypatch, tmp_path):
+    assert experiment_configs(monkeypatch, tmp_path, ["blobs"]) == [ex.BlobsConfig()]
+    assert experiment_configs(monkeypatch, tmp_path, ["lorenz"]) == [ex.LorenzConfig()]
+
+
+def test_cli_experiment_config_file_and_seed_override(monkeypatch, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[model]\nchannels = 6\n[data]\nsize = 8\ncount = 3\noffsets = 2,4\n"
+                   "[train]\nseed = 3\nepochs = 2\nlr = 0.01\n")
+    assert experiment_configs(monkeypatch, tmp_path, ["blobs", str(cfg)]) == [
+        ex.BlobsConfig(seed=3, image_size=8, channels=6, epochs=2, lr=0.01)]
+    assert experiment_configs(monkeypatch, tmp_path, ["lorenz", str(cfg), "--seed", "9"]) == [
+        ex.LorenzConfig(seed=9, trajectories=3, epochs=2, lr=0.01, offsets=(2.0, 4.0))]
+
+
+def test_cli_experiment_bad_value_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[train]\nepochs = many\n")
+    assert main(["experiment", "blobs", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "epochs" in capsys.readouterr().err

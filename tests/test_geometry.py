@@ -229,3 +229,15 @@ def test_rotation_isometry_property(seed):
     u, v = r.standard_normal(3), r.standard_normal(3)
     # rotations preserve inner products
     assert abs(G.quat_rotate(q, u) @ G.quat_rotate(q, v) - u @ v) < 1e-10
+
+
+def test_equivariance_report_zero_base_error():
+    # a model exact on the base set: ratio 1 while it stays exact, inf once it is not
+    inputs = rng(15).standard_normal((10, 4, 3))
+    targets = inputs[:, -1, :] + inputs[:, -1, :] ** 2
+    exact = lambda w: w[:, -1, :] + w[:, -1, :] ** 2
+    rows = G.equivariance_report(exact, "translation", inputs, targets, [0.0, 2.0])
+    assert rows[0].mse_base == 0.0
+    assert rows[0].ratio == 1.0
+    assert rows[1].mse_transformed > 0.0
+    assert rows[1].ratio == np.inf
