@@ -88,7 +88,7 @@ EXPERIMENT_KEYS = {
     ex.BlobsConfig: {"seed": "train.seed", "samples_per_class": "data.samples_per_class",
                      "image_size": "data.size", "channels": "model.channels",
                      "epochs": "train.epochs", "batch_size": "train.batch_size",
-                     "lr": "train.lr"},
+                     "lr": "train.lr", "early_stop_train_loss": "train.early_stop_train_loss"},
 }
 
 

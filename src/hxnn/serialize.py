@@ -35,6 +35,11 @@ def _bool_list(flags):
     return ",".join("1" if f else "0" for f in flags)
 
 
+# PHAttBlock.projections in order; "frozen" holds q's flags, and
+# "frozen_<name>" is written only for a projection whose flags differ.
+_PHATT_PROJECTIONS = ("q", "k", "v", "out")
+
+
 # --- per-kind (describe, rebuild) ---------------------------------------------
 # describe(layer) -> (cfg dict, ordered param tensors)
 # rebuild(cfg) -> fresh layer with the same shapes
@@ -78,13 +83,16 @@ def _describe(layer):
         }, layer.a + layer.f + ([layer.bias] if layer.bias is not None else [])
     if isinstance(layer, PHAttBlock):
         params = []
-        for sub in layer.projections:
-            params += sub.a + sub.f + [sub.bias]
-        return "phatt", {
+        cfg = {
             "n": layer.n, "features": layer.features, "heads": layer.heads,
             "activation": layer.activation, "mode": layer.mode,
             "frozen": _bool_list(layer.q.a_frozen),
-        }, params
+        }
+        for name, sub in zip(_PHATT_PROJECTIONS, layer.projections):
+            params += sub.a + sub.f + [sub.bias]
+            if sub.a_frozen != layer.q.a_frozen:
+                cfg[f"frozen_{name}"] = _bool_list(sub.a_frozen)
+        return "phatt", cfg, params
     if isinstance(layer, PHGraphLayer):
         return "phgraph", {
             "n": layer.n, "d": layer.d, "s": layer.s,
@@ -102,12 +110,13 @@ def _describe(layer):
     raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
 
 
-def _apply_frozen(layer, cfg):
-    if "frozen" in cfg:
-        flags = cfg["frozen"].split(",")
+def _apply_frozen(layer, cfg, key="frozen"):
+    key = key if key in cfg else "frozen"
+    if key in cfg:
+        flags = cfg[key].split(",")
         if len(flags) != len(layer.a) or any(f not in ("0", "1") for f in flags):
             raise FormatError(
-                f"frozen={cfg['frozen']!r}: want {len(layer.a)} comma-separated 0/1 flags"
+                f"{key}={cfg[key]!r}: want {len(layer.a)} comma-separated 0/1 flags"
             )
         for a, fr in zip(layer.a, flags):
             a.requires_grad = fr == "0"
@@ -141,8 +150,8 @@ def _rebuild(kind, cfg):
     if kind == "phatt":
         block = PHAttBlock(int(cfg["n"]), int(cfg["features"]), heads=int(cfg["heads"]),
                            activation=cfg["activation"], mode=cfg["mode"])
-        for sub in block.projections:
-            _apply_frozen(sub, cfg)
+        for name, sub in zip(_PHATT_PROJECTIONS, block.projections):
+            _apply_frozen(sub, cfg, f"frozen_{name}")
         return block
     if kind == "phgraph":
         layer = PHGraphLayer(int(cfg["n"]), int(cfg["d"]), int(cfg["s"]),
@@ -229,18 +238,23 @@ def load_model(path) -> tr.Network:
     r.take(name_len)  # descriptor is informational
     (layer_count,) = r.unpack("<I")
     layers, shapes = [], []
-    for _ in range(layer_count):
+    for index in range(layer_count):
         (klen,) = r.unpack("<H")
         kind = r.take(klen).decode("utf-8")
         (clen,) = r.unpack("<I")
-        cfg = _cfg_parse(r.take(clen).decode("utf-8"))
+        cfg_text = r.take(clen)
         (nparams,) = r.unpack("<I")
         layer_shapes = []
         for _ in range(nparams):
             (rank,) = r.unpack("<B")
             dims = r.unpack(f"<{rank}I") if rank else ()
             layer_shapes.append(tuple(dims))
-        layer = _rebuild(kind, cfg)
+        try:
+            layer = _rebuild(kind, _cfg_parse(cfg_text.decode("utf-8")))
+        except KeyError as exc:
+            raise FormatError(f"layer {index} ({kind}): missing config key {exc}") from exc
+        except (NameError, ValueError) as exc:
+            raise FormatError(f"layer {index} ({kind}): {exc}") from exc
         layers.append(layer)
         shapes.append(layer_shapes)
     for layer, layer_shapes in zip(layers, shapes):

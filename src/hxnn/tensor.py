@@ -355,7 +355,16 @@ def kron_sum(a_list, f_list) -> Tensor:
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of an NCHW input with an OIkk filter bank,
-    with symmetric zero padding."""
+    with symmetric zero padding.
+
+    The forward unfolds the input into per-sample (C*k*k, L) columns
+    (im2col, L = output pixels) and multiplies each by the (O, C*k*k)
+    filter matrix.  In the vector-Jacobian product the filter gradient is
+    one GEMM per sample, summed over the batch.  The input gradient, one
+    GEMM into columns folded back tap by tap (col2im), is computed only
+    if the input requires grad; a constant input (the images fed to a
+    network's first conv) gets ``None``.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: shapes {x.data.shape} and {w.data.shape}")
     n, c, h, wd = x.data.shape
@@ -383,28 +392,50 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     def vjp(g):
         g2 = g.reshape(n, o, ho * wo)
-        gw = np.einsum("nol,ncl->oc", g2, cols2).reshape(o, c, kh, kw)
+        gw = (g2 @ cols2.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
+        if not x.requires_grad:
+            return None, gw
         gcols = (wf.T @ g2).reshape(n, c, kh, kw, ho, wo)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((n, c, hp, wp))
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-        if padding:
-            gx = gxp[:, :, padding:-padding, padding:-padding]
-        else:
-            gx = gxp
-        return gx.copy(), gw
+        return gxp[:, :, padding : padding + h, padding : padding + wd].copy(), gw
 
     return _node(out, (x, w), vjp)
 
 
 def avg_pool2d(x: Tensor, window: int) -> Tensor:
-    """Non-overlapping window mean over the spatial axes of an NCHW tensor."""
+    """Non-overlapping window mean over the spatial axes of an NCHW tensor.
+
+    One node.  The forward adds the window taps with strided adds in the
+    order numpy's ``sum(axis=(3, 5))`` over the (N, C, H/k, k, W/k, k)
+    view reduces them: each window row in turn, onto +0.0.  So the result
+    is the same to the bit, and a one-column output, whose windows numpy
+    sums as one contiguous run, takes that reduction itself.  The
+    vector-Jacobian product spreads ``g`` times 1/k**2 over each window.
+    """
     n, c, h, w = x.data.shape
     if h % window or w % window:
         raise ShapeError(f"avg_pool2d: window {window} does not tile {(h, w)}")
-    xr = reshape(x, (n, c, h // window, window, w // window, window))
-    return mean(xr, axis=(3, 5))
+    ho, wo = h // window, w // window
+    xr = x.data.reshape(n, c, ho, window, wo, window)
+    if wo == 1:
+        total = xr.sum(axis=(3, 5))
+    else:
+        total = np.zeros((n, c, ho, wo))
+        for i in range(window):
+            row = xr[:, :, :, i, :, 0].copy()
+            for j in range(1, window):
+                row += xr[:, :, :, i, :, j]
+            total += row
+    alpha = 1.0 / (window * window)
+    total *= alpha
+
+    def vjp(g):
+        return (np.repeat(np.repeat(alpha * g, window, axis=3), window, axis=2),)
+
+    return _node(total, (x,), vjp)
 
 
 # -----------------------------------------------------------------------------

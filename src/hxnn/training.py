@@ -12,7 +12,7 @@ import numpy as np
 from . import geometry as G
 from . import tensor as T
 from .algebra import builtin
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .layers import HConv2DLayer, HFCLayer, KronConv2D, Layer
 from .phlayers import PHCLayer, PHMLayer
 
@@ -35,6 +35,16 @@ class TrainConfig:
     eps: float = 1e-8
     task: str = "regression"  # or "classification"
     early_stop_train_loss: float | None = None
+
+    def __post_init__(self):
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError(f"optimizer {self.optimizer!r}: expected 'adam' or 'sgd'")
+        if self.task not in ("regression", "classification"):
+            raise ConfigError(f"task {self.task!r}: expected 'regression' or 'classification'")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size={self.batch_size}: must be at least 1")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs={self.epochs}: must not be negative")
 
 
 @dataclass

@@ -265,3 +265,10 @@ def test_cli_experiment_bad_value_exits_one(capsys, tmp_path):
     cfg.write_text("[train]\nepochs = many\n")
     assert main(["experiment", "blobs", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "epochs" in capsys.readouterr().err
+
+
+def test_cli_experiment_blobs_reads_early_stop_train_loss(monkeypatch, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[train]\nearly_stop_train_loss = 0.5\n")
+    assert experiment_configs(monkeypatch, tmp_path, ["blobs", str(cfg)]) == [
+        ex.BlobsConfig(early_stop_train_loss=0.5)]

@@ -80,3 +80,48 @@ def test_partly_frozen_grids_load_as_flagged(tmp_path):
     (layer,) = S.load_model(phm_file_with_frozen(tmp_path, "1,0,1,0")).layers
     assert layer.a_frozen == [True, False, True, False]
     assert layer.parameters()[:2] == [layer.a[1], layer.a[3]]
+
+
+def test_phatt_keeps_each_projections_frozen_grids(tmp_path):
+    block = PHAttBlock(2, 4, rng=rng(11))
+    block.q.a[0].requires_grad = block.q.a[1].requires_grad = False
+    block.v.a[1].requires_grad = False
+    path = tmp_path / "m.hxnn"
+    S.save_model(tr.Network([block]), path)
+    (loaded,) = S.load_model(path).layers
+    assert [p.a_frozen for p in loaded.projections] == [p.a_frozen for p in block.projections]
+    assert len(loaded.parameters()) == len(block.parameters()) == 12
+
+
+def file_with_cfg(tmp_path, layer, old, new):
+    """A saved one-layer model whose config text has ``old`` replaced by ``new``."""
+    path = tmp_path / "m.hxnn"
+    S.save_model(tr.Network([layer]), path)
+    blob = path.read_bytes()
+    cfg = S._cfg_str(S._describe(layer)[1]).encode()
+    assert old in cfg
+    edited = cfg.replace(old, new)
+    head = struct.pack("<I", len(cfg)) + cfg
+    path.write_bytes(blob.replace(head, struct.pack("<I", len(edited)) + edited, 1))
+    return path
+
+
+def test_missing_config_key_is_a_format_error(tmp_path):
+    path = file_with_cfg(tmp_path, HFCLayer(builtin("quaternion"), 8, 12, rng=rng(1)),
+                         b"s=12\n", b"")
+    with pytest.raises(FormatError, match=r"layer 0 \(hfc\): missing config key 's'"):
+        S.load_model(path)
+
+
+def test_non_integer_config_field_is_a_format_error(tmp_path):
+    path = file_with_cfg(tmp_path, PHCLayer(3, 3, 6, 3, padding=1, rng=rng(6)),
+                         b"kernel=3\n", b"kernel=three\n")
+    with pytest.raises(FormatError, match=r"layer 0 \(phc\): .*three"):
+        S.load_model(path)
+
+
+def test_unknown_algebra_is_a_format_error(tmp_path):
+    path = file_with_cfg(tmp_path, HGraphConvLayer(builtin("quaternion"), 8, 8, rng=rng(4)),
+                         b"algebra=quaternion\n", b"algebra=quaternoin\n")
+    with pytest.raises(FormatError, match=r"layer 0 \(hgraph\): unknown algebra"):
+        S.load_model(path)

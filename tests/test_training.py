@@ -4,6 +4,7 @@ import pytest
 from hxnn import algebra as alg
 from hxnn import tensor as T
 from hxnn import training as tr
+from hxnn.errors import ConfigError
 from hxnn.layers import HFCLayer
 
 
@@ -208,3 +209,10 @@ def test_quaternion_encoding_layout():
     assert enc.shape == (1, 32)
     assert np.all(enc[0, :8] == 0.0)  # real components first
     assert np.array_equal(enc[0, 8:16], w[0, :, 0])  # then all x's
+
+
+@pytest.mark.parametrize("field,value", [("optimizer", "adagrad"), ("task", "ranking"),
+                                         ("batch_size", 0), ("epochs", -1)])
+def test_train_config_rejects_bad_values_at_construction(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tr.TrainConfig(**{field: value})
