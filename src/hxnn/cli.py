@@ -3,7 +3,6 @@ library call; validation failures exit 1, I/O failures exit 2."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -92,37 +91,13 @@ EXPERIMENT_KEYS = {
 }
 
 
-def _experiment_config(cls, cfg: dict, seed):
-    """The ``cls`` experiment config set from the parsed config file
-    ``cfg``, then ``seed`` if given; fields the file leaves out keep the
-    dataclass defaults."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    values = {}
-    for name, path in EXPERIMENT_KEYS[cls].items():
-        section, key = path.split(".")
-        raw = cfg.get(section, {}).get(key)
-        if raw is None:
-            continue
-        default = defaults[name]
-        try:
-            if isinstance(default, tuple):
-                values[name] = tuple(type(default[0])(v) for v in raw.split(","))
-            else:
-                values[name] = type(default)(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
-    if seed is not None:
-        values["seed"] = seed
-    return cls(**values)
-
-
 def cmd_experiment(args) -> int:
     out = Path(args.out)
     cfg = cfgmod.load_config(args.config) if args.config else {}
     name = args.experiment_cmd
     run, cls = {"lorenz": (ex.experiment_lorenz_equivariance, ex.LorenzConfig),
                 "blobs": (ex.experiment_blobs, ex.BlobsConfig)}[name]
-    report = run(_experiment_config(cls, cfg, args.seed))
+    report = run(cfgmod.dataclass_from(cls, cfg, EXPERIMENT_KEYS[cls], args.seed))
     print(report.summary, end="")
     _write(out, f"{name}.csv", report.csv)
     _write(out, f"{name}_summary.txt", report.summary)

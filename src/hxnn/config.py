@@ -2,6 +2,8 @@
 [data], [train] sections, '#' comments, and no silent typo tolerance."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .errors import ConfigError
@@ -86,21 +88,34 @@ def _float_list(value: str):
     return [float(v) for v in value.split(",") if v.strip()]
 
 
+def dataclass_from(cls, cfg: dict, keys: dict, seed=None):
+    """The dataclass ``cls`` set from the parsed config file ``cfg``, then
+    ``seed`` if given.  ``keys`` maps a field name to its "section.key";
+    fields the file leaves out keep the dataclass defaults, and a value
+    takes the type of its default (a ``None`` default reads as float)."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    values = {}
+    for name, path in keys.items():
+        section, key = path.split(".")
+        raw = cfg.get(section, {}).get(key)
+        if raw is None:
+            continue
+        default = defaults[name]
+        try:
+            if isinstance(default, tuple):
+                values[name] = tuple(type(default[0])(v) for v in raw.split(","))
+            else:
+                values[name] = (float if default is None else type(default))(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+    if seed is not None:
+        values["seed"] = seed
+    return cls(**values)
+
+
 def train_config_from(cfg: dict, seed_override=None) -> tr.TrainConfig:
-    seed = seed_override if seed_override is not None else _get(cfg, "train", "seed", 0, int)
-    early = cfg.get("train", {}).get("early_stop_train_loss")
-    return tr.TrainConfig(
-        seed=seed,
-        epochs=_get(cfg, "train", "epochs", 10, int),
-        batch_size=_get(cfg, "train", "batch_size", 64, int),
-        lr=_get(cfg, "train", "lr", 1e-3, float),
-        optimizer=_get(cfg, "train", "optimizer", "adam"),
-        beta1=_get(cfg, "train", "beta1", 0.9, float),
-        beta2=_get(cfg, "train", "beta2", 0.999, float),
-        eps=_get(cfg, "train", "eps", 1e-8, float),
-        task=_get(cfg, "train", "task", "regression"),
-        early_stop_train_loss=float(early) if early is not None else None,
-    )
+    keys = {f.name: f"train.{f.name}" for f in dataclasses.fields(tr.TrainConfig)}
+    return dataclass_from(tr.TrainConfig, cfg, keys, seed_override)
 
 
 def dataset_from(cfg: dict) -> tr.Dataset:
@@ -143,12 +158,7 @@ def model_from(cfg: dict, feature_dim=None, target_dim=None) -> tr.Network:
             conv = lambda ci, co: HConv2DLayer(a, ci, co, 3, padding=1, activation=activation, rng=rng)
         else:
             raise ConfigError(f"unknown algebra {algebra_name!r}")
-        return tr.Network([
-            conv(3, channels), tr.AvgPool(2),
-            conv(channels, channels), tr.AvgPool(2),
-            conv(channels, channels), tr.GlobalAvgPool(),
-            HFCLayer(builtin("real"), channels, classes, activation="none", rng=rng),
-        ])
+        return tr.convnet(conv, channels, classes, rng)
     if kind == "mlp":
         if feature_dim is None or target_dim is None:
             raise ConfigError("mlp models need a dataset to size input/output")

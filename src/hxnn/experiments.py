@@ -14,7 +14,7 @@ from . import tensor as T
 from . import training as tr
 from .algebra import builtin
 from .layers import Graph, HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
-from .phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer
+from .phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer, grid_owners
 
 
 def _fmt(v):
@@ -86,13 +86,10 @@ def gradcheck_all(seed=0xC0FFEE):
     q = builtin("quaternion")
 
     def smooth(layer):
-        for sub in (layer, getattr(layer, "inner", None),
-                    *(getattr(layer, k, None) for k in ("q", "k", "v", "out"))):
-            if sub is None:
-                continue
-            for a in getattr(sub, "a", []):
+        for sub in grid_owners(layer):
+            for a in sub.a:
                 a.data[...] = rng.standard_normal(a.data.shape)
-            if getattr(sub, "bias", None) is not None:
+            if sub.bias is not None:
                 sub.bias.data[...] = 0.1 * rng.standard_normal(sub.bias.data.shape)
         return layer
 

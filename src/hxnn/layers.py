@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .algebra import Algebra, algebra_grid_matrices
-from .errors import DivisibilityError, ShapeError
+from .errors import ConfigError, DivisibilityError, ShapeError
 
 ACTIVATIONS = {
     "relu": T.relu,
@@ -28,9 +28,17 @@ ACTIVATIONS = {
 
 
 def _check_divisible(value, n, what):
+    if value < 1:
+        raise ConfigError(f"{what}={value} must be at least 1")
     if value % n:
         raise DivisibilityError(f"{what}={value} is not divisible by n={n}")
     return value // n
+
+
+def _activation(name):
+    if name not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {name!r}: expected one of {sorted(ACTIVATIONS)}")
+    return ACTIVATIONS[name]
 
 
 class Layer:
@@ -102,7 +110,7 @@ class KronLinear(KronLayer):
         d_blk = _check_divisible(d, len(a), "input features d")
         s_blk = _check_divisible(s, len(a), "output features s")
         self.d, self.s = d, s
-        self.activation = activation
+        self.activation, self._act = activation, _activation(activation)
         super().__init__(a, (s_blk, d_blk), fan_in, s, bias, rng)
 
     def forward(self, x):
@@ -116,7 +124,7 @@ class KronLinear(KronLayer):
         y = T.matmul(x, T.transpose(self.weight()))
         if self.bias is not None:
             y = T.bias_add(y, self.bias)
-        y = ACTIVATIONS[self.activation](y)
+        y = self._act(y)
         if squeeze:
             y = T.reshape(y, (squeeze[0], squeeze[1], self.s))
         return y
@@ -131,9 +139,11 @@ class KronConv2D(KronLayer):
                  activation, bias, rng, fan_in):
         ci = _check_divisible(in_channels, len(a), "in_channels")
         co = _check_divisible(out_channels, len(a), "out_channels")
+        _check_divisible(kernel, 1, "kernel")
+        _check_divisible(stride, 1, "stride")
         self.in_channels, self.out_channels = in_channels, out_channels
         self.kernel, self.stride, self.padding = kernel, stride, padding
-        self.activation = activation
+        self.activation, self._act = activation, _activation(activation)
         super().__init__(a, (co, ci, kernel, kernel), fan_in, out_channels, bias, rng)
 
     def forward(self, x):
@@ -146,7 +156,7 @@ class KronConv2D(KronLayer):
         y = T.conv2d(x, self.weight(), stride=self.stride, padding=self.padding)
         if self.bias is not None:
             y = T.bias_add(y, self.bias)
-        return ACTIVATIONS[self.activation](y)
+        return self._act(y)
 
 
 class HFCLayer(KronLinear):
@@ -195,14 +205,13 @@ class HAttBlock(Layer):
 
     def __init__(self, algebra: Algebra, channels, kernel=3, gate="sigmoid", rng=None):
         if kernel % 2 == 0:
-            raise ValueError("attention conv kernel must be odd to keep shape")
+            raise ConfigError("attention conv kernel must be odd to keep shape")
         if gate not in ("sigmoid", "none"):
-            raise ValueError(f"unknown gate {gate!r}")
+            raise ConfigError(f"unknown gate {gate!r}")
         rng = rng or np.random.default_rng(0)
         pad = kernel // 2
         self.algebra = algebra
-        self.channels = channels
-        self.gate = gate
+        self.channels, self.kernel, self.gate = channels, kernel, gate
         self.feature = HConv2DLayer(algebra, channels, channels, kernel,
                                     padding=pad, activation="relu", rng=rng)
         self.fuse = HConv2DLayer(algebra, 2 * channels, channels, kernel,
@@ -253,7 +262,7 @@ class KronGraph(Layer):
     def __init__(self, inner: KronLinear, activation):
         self.inner = inner
         self.d, self.s = inner.d, inner.s
-        self.activation = activation
+        self.activation, self._act = activation, _activation(activation)
 
     def forward_graph(self, graph: Graph, features: T.Tensor | None = None):
         h = features if features is not None else T.Tensor(graph.features)
@@ -262,7 +271,7 @@ class KronGraph(Layer):
         mixed = T.matmul(h, T.transpose(self.inner.weight()))
         agg = T.matmul(T.Tensor(graph.normalized_adjacency), mixed)
         agg = T.bias_add(agg, self.inner.bias)
-        return ACTIVATIONS[self.activation](agg)
+        return self._act(agg)
 
     def forward(self, x):
         raise TypeError("graph layers are applied with forward_graph(graph)")

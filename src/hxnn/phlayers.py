@@ -14,14 +14,14 @@ import numpy as np
 
 from . import tensor as T
 from .algebra import Algebra, algebra_grid_matrices
-from .errors import AlgebraMismatch, DivisibilityError, ShapeError
+from .errors import AlgebraMismatch, ConfigError, DivisibilityError, ShapeError
 from .layers import KronConv2D, KronGraph, KronLinear, Layer
 
 
 def _init_a(rng, n):
     """Grid matrices start as random sign patterns, like a real algebra's."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     return [
         T.Tensor(rng.integers(-1, 2, size=(n, n)).astype(np.float64), requires_grad=True)
         for _ in range(n)
@@ -67,7 +67,9 @@ class PHAttBlock(Layer):
 
     def __init__(self, n, features, heads=1, activation="relu", mode="gate", rng=None):
         if mode not in ("gate", "pure"):
-            raise ValueError(f"unknown attention mode {mode!r}")
+            raise ConfigError(f"unknown attention mode {mode!r}")
+        if heads < 1:
+            raise ConfigError(f"heads={heads} must be at least 1")
         if features % heads:
             raise DivisibilityError(f"features={features} not divisible by heads={heads}")
         rng = rng or np.random.default_rng(0)
@@ -119,21 +121,33 @@ class PHGraphLayer(KronGraph):
         super().__init__(PHMLayer(n, d, s, rng=rng), activation)
 
 
+def grid_owners(layer) -> list:
+    """The PHM-family sublayers whose learned grid matrices ``layer``
+    holds, in parameter order: the layer itself, its inner layer, its
+    attention projections, or none for a layer with constant grids."""
+    if isinstance(layer, (PHMLayer, PHCLayer)):
+        return [layer]
+    if isinstance(layer, PHGraphLayer):
+        return [layer.inner]
+    if isinstance(layer, PHAttBlock):
+        return layer.projections
+    return []
+
+
 def collapse_to_algebra(layer, algebra: Algebra):
     """Freeze the grid matrices of a PHM-family layer to a built-in
     algebra's left pattern; the layer then equals its algebra-bound
     counterpart exactly.  Returns the layer for chaining."""
-    inner = getattr(layer, "inner", layer)
-    if isinstance(layer, PHAttBlock):
-        for sub in layer.projections:
-            collapse_to_algebra(sub, algebra)
-        return layer
-    if inner.n != algebra.n:
-        raise AlgebraMismatch(
-            f"layer has n={inner.n} but algebra {algebra.name} has n={algebra.n}"
-        )
-    for ai, mat in zip(inner.a, algebra_grid_matrices(algebra)):
-        ai.data[...] = mat
-        ai.requires_grad = False
-        ai.grad = None
+    owners = grid_owners(layer)
+    if not owners:
+        raise TypeError(f"{type(layer).__name__} has no learned grid matrices")
+    for sub in owners:
+        if sub.n != algebra.n:
+            raise AlgebraMismatch(
+                f"layer has n={sub.n} but algebra {algebra.name} has n={algebra.n}"
+            )
+        for ai, mat in zip(sub.a, algebra_grid_matrices(algebra)):
+            ai.data[...] = mat
+            ai.requires_grad = False
+            ai.grad = None
     return layer

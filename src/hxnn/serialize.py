@@ -11,8 +11,7 @@ from . import training as tr
 from .algebra import builtin
 from .errors import FormatError
 from .layers import HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
-from .phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer
-from .tensor import Tensor
+from .phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer, grid_owners
 
 MAGIC = b"HXNN"
 VERSION = 1
@@ -35,82 +34,57 @@ def _bool_list(flags):
     return ",".join("1" if f else "0" for f in flags)
 
 
-# PHAttBlock.projections in order; "frozen" holds q's flags, and
-# "frozen_<name>" is written only for a projection whose flags differ.
-_PHATT_PROJECTIONS = ("q", "k", "v", "out")
+# kind -> (class, config keys in the order of the constructor's positional
+# arguments).  This is the one list of layer kinds and their file keys: a
+# key reads the layer attribute of the same name ("in"/"out": the channel
+# counts), and the file stores "algebra" by name and "bias" as 0/1.
+KINDS = {
+    "hfc": (HFCLayer, ("algebra", "d", "s", "activation", "bias")),
+    "hconv2d": (HConv2DLayer, ("algebra", "in", "out", "kernel", "stride", "padding",
+                               "activation", "bias")),
+    "hatt": (HAttBlock, ("algebra", "channels", "kernel", "gate")),
+    "hgraph": (HGraphConvLayer, ("algebra", "d", "s", "activation")),
+    "phm": (PHMLayer, ("n", "d", "s", "activation", "bias")),
+    "phc": (PHCLayer, ("n", "in", "out", "kernel", "stride", "padding", "activation", "bias")),
+    "phatt": (PHAttBlock, ("n", "features", "heads", "activation", "mode")),
+    "phgraph": (PHGraphLayer, ("n", "d", "s", "activation")),
+    "flatten": (tr.Flatten, ()),
+    "avgpool": (tr.AvgPool, ("window",)),
+    "globalavgpool": (tr.GlobalAvgPool, ()),
+    "narrow": (tr.Narrow, ("start", "length")),
+}
+_ATTRS = {"in": "in_channels", "out": "out_channels"}
+_ENCODE = {"algebra": lambda a: a.name, "bias": lambda b: int(b is not None)}
+_DECODE = {"algebra": builtin, "bias": lambda v: bool(int(v)),
+           "activation": str, "gate": str, "mode": str}  # every other key: int
 
-
-# --- per-kind (describe, rebuild) ---------------------------------------------
-# describe(layer) -> (cfg dict, ordered param tensors)
-# rebuild(cfg) -> fresh layer with the same shapes
+# "frozen" holds the grid flags of a layer's first grid owner
+# (``phlayers.grid_owners``); the i-th owner's flags are written as
+# "frozen_<i-th name>" only where they differ from the first's.
+_OWNER_NAMES = ("q", "k", "v", "out")
 
 
 def _describe(layer):
-    if isinstance(layer, HFCLayer):
-        return "hfc", {
-            "algebra": layer.algebra.name, "d": layer.d, "s": layer.s,
-            "activation": layer.activation, "bias": int(layer.bias is not None),
-        }, layer.parameters()
-    if isinstance(layer, HConv2DLayer):
-        return "hconv2d", {
-            "algebra": layer.algebra.name,
-            "in": layer.in_channels, "out": layer.out_channels,
-            "kernel": layer.kernel, "stride": layer.stride, "padding": layer.padding,
-            "activation": layer.activation, "bias": int(layer.bias is not None),
-        }, layer.parameters()
-    if isinstance(layer, HAttBlock):
-        return "hatt", {
-            "algebra": layer.algebra.name, "channels": layer.channels,
-            "kernel": layer.feature.kernel, "gate": layer.gate,
-        }, layer.parameters()
-    if isinstance(layer, HGraphConvLayer):
-        return "hgraph", {
-            "algebra": layer.algebra.name, "d": layer.d, "s": layer.s,
-            "activation": layer.activation,
-        }, layer.parameters()
-    if isinstance(layer, PHMLayer):
-        return "phm", {
-            "n": layer.n, "d": layer.d, "s": layer.s,
-            "activation": layer.activation, "bias": int(layer.bias is not None),
-            "frozen": _bool_list(layer.a_frozen),
-        }, layer.a + layer.f + ([layer.bias] if layer.bias is not None else [])
-    if isinstance(layer, PHCLayer):
-        return "phc", {
-            "n": layer.n, "in": layer.in_channels, "out": layer.out_channels,
-            "kernel": layer.kernel, "stride": layer.stride, "padding": layer.padding,
-            "activation": layer.activation, "bias": int(layer.bias is not None),
-            "frozen": _bool_list(layer.a_frozen),
-        }, layer.a + layer.f + ([layer.bias] if layer.bias is not None else [])
-    if isinstance(layer, PHAttBlock):
-        params = []
-        cfg = {
-            "n": layer.n, "features": layer.features, "heads": layer.heads,
-            "activation": layer.activation, "mode": layer.mode,
-            "frozen": _bool_list(layer.q.a_frozen),
-        }
-        for name, sub in zip(_PHATT_PROJECTIONS, layer.projections):
-            params += sub.a + sub.f + [sub.bias]
-            if sub.a_frozen != layer.q.a_frozen:
-                cfg[f"frozen_{name}"] = _bool_list(sub.a_frozen)
-        return "phatt", cfg, params
-    if isinstance(layer, PHGraphLayer):
-        return "phgraph", {
-            "n": layer.n, "d": layer.d, "s": layer.s,
-            "activation": layer.activation,
-            "frozen": _bool_list(layer.inner.a_frozen),
-        }, layer.inner.a + layer.inner.f + [layer.inner.bias]
-    if isinstance(layer, tr.Flatten):
-        return "flatten", {}, []
-    if isinstance(layer, tr.AvgPool):
-        return "avgpool", {"window": layer.window}, []
-    if isinstance(layer, tr.GlobalAvgPool):
-        return "globalavgpool", {}, []
-    if isinstance(layer, tr.Narrow):
-        return "narrow", {"start": layer.start, "length": layer.length}, []
-    raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
+    """(kind, cfg dict, ordered param tensors) of one layer: every grid
+    matrix, frozen or not, is stored."""
+    kind = next((k for k, (cls, _) in KINDS.items() if isinstance(layer, cls)), None)
+    if kind is None:
+        raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
+    cfg = {}
+    for key in KINDS[kind][1]:
+        value = getattr(layer, _ATTRS.get(key, key))
+        cfg[key] = _ENCODE[key](value) if key in _ENCODE else value
+    owners = grid_owners(layer)
+    if not owners:
+        return kind, cfg, layer.parameters()
+    cfg["frozen"] = _bool_list(owners[0].a_frozen)
+    for name, sub in zip(_OWNER_NAMES, owners):
+        if sub.a_frozen != owners[0].a_frozen:
+            cfg[f"frozen_{name}"] = _bool_list(sub.a_frozen)
+    return kind, cfg, [p for sub in owners for p in sub.a + sub.f + [sub.bias] if p is not None]
 
 
-def _apply_frozen(layer, cfg, key="frozen"):
+def _apply_frozen(layer, cfg, key):
     key = key if key in cfg else "frozen"
     if key in cfg:
         flags = cfg[key].split(",")
@@ -120,63 +94,27 @@ def _apply_frozen(layer, cfg, key="frozen"):
             )
         for a, fr in zip(layer.a, flags):
             a.requires_grad = fr == "0"
-    return layer
 
 
 def _rebuild(kind, cfg):
-    if kind == "hfc":
-        return HFCLayer(builtin(cfg["algebra"]), int(cfg["d"]), int(cfg["s"]),
-                        activation=cfg["activation"], bias=bool(int(cfg["bias"])))
-    if kind == "hconv2d":
-        return HConv2DLayer(builtin(cfg["algebra"]), int(cfg["in"]), int(cfg["out"]),
-                            int(cfg["kernel"]), stride=int(cfg["stride"]),
-                            padding=int(cfg["padding"]), activation=cfg["activation"],
-                            bias=bool(int(cfg["bias"])))
-    if kind == "hatt":
-        return HAttBlock(builtin(cfg["algebra"]), int(cfg["channels"]),
-                         kernel=int(cfg["kernel"]), gate=cfg["gate"])
-    if kind == "hgraph":
-        return HGraphConvLayer(builtin(cfg["algebra"]), int(cfg["d"]), int(cfg["s"]),
-                               activation=cfg["activation"])
-    if kind == "phm":
-        return _apply_frozen(
-            PHMLayer(int(cfg["n"]), int(cfg["d"]), int(cfg["s"]),
-                     activation=cfg["activation"], bias=bool(int(cfg["bias"]))), cfg)
-    if kind == "phc":
-        return _apply_frozen(
-            PHCLayer(int(cfg["n"]), int(cfg["in"]), int(cfg["out"]), int(cfg["kernel"]),
-                     stride=int(cfg["stride"]), padding=int(cfg["padding"]),
-                     activation=cfg["activation"], bias=bool(int(cfg["bias"]))), cfg)
-    if kind == "phatt":
-        block = PHAttBlock(int(cfg["n"]), int(cfg["features"]), heads=int(cfg["heads"]),
-                           activation=cfg["activation"], mode=cfg["mode"])
-        for name, sub in zip(_PHATT_PROJECTIONS, block.projections):
-            _apply_frozen(sub, cfg, f"frozen_{name}")
-        return block
-    if kind == "phgraph":
-        layer = PHGraphLayer(int(cfg["n"]), int(cfg["d"]), int(cfg["s"]),
-                             activation=cfg["activation"])
-        _apply_frozen(layer.inner, cfg)
-        return layer
-    if kind == "flatten":
-        return tr.Flatten()
-    if kind == "avgpool":
-        return tr.AvgPool(int(cfg["window"]))
-    if kind == "globalavgpool":
-        return tr.GlobalAvgPool()
-    if kind == "narrow":
-        return tr.Narrow(int(cfg["start"]), int(cfg["length"]))
-    raise FormatError(f"unknown layer kind {kind!r}")
+    """A fresh layer with the shapes and grid flags ``cfg`` describes."""
+    if kind not in KINDS:
+        raise FormatError(f"unknown layer kind {kind!r}")
+    cls, keys = KINDS[kind]
+    layer = cls(*(_DECODE.get(key, int)(cfg[key]) for key in keys))
+    for name, sub in zip(_OWNER_NAMES, grid_owners(layer)):
+        _apply_frozen(sub, cfg, f"frozen_{name}")
+    return layer
 
 
 def _descriptor(layers):
     names = set()
     n = 1
     for layer in layers:
-        kind, cfg, _ = _describe(layer)
-        if kind in ("phm", "phc", "phatt", "phgraph"):
+        _, cfg, _ = _describe(layer)
+        if "n" in cfg:
             names.add("parameterized")
-            n = max(n, int(cfg["n"]))
+            n = max(n, cfg["n"])
         elif "algebra" in cfg:
             names.add(cfg["algebra"])
             n = max(n, builtin(cfg["algebra"]).n)
@@ -240,7 +178,10 @@ def load_model(path) -> tr.Network:
     layers, shapes = [], []
     for index in range(layer_count):
         (klen,) = r.unpack("<H")
-        kind = r.take(klen).decode("utf-8")
+        try:
+            kind = r.take(klen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"layer {index}: kind is not UTF-8: {exc}") from exc
         (clen,) = r.unpack("<I")
         cfg_text = r.take(clen)
         (nparams,) = r.unpack("<I")

@@ -282,6 +282,8 @@ class Flatten(Layer):
 
 class AvgPool(Layer):
     def __init__(self, window=2):
+        if window < 1:
+            raise ConfigError(f"window={window} must be at least 1")
         self.window = window
 
     def forward(self, x):
@@ -380,11 +382,23 @@ def linear_probe_accuracy(dataset: Dataset, ridge=1e-3) -> float:
 # model builders
 
 
-def blobs_classifier(kind, seed, channels=24, classes=4):
-    """Three conv stages + pooled linear head on 3-channel images.
+def convnet(conv, channels, classes, rng) -> Network:
+    """Three conv stages + pooled real linear head on 3-channel images;
+    ``conv(ci, co)`` builds each conv stage."""
+    return Network([
+        conv(3, channels),
+        AvgPool(2),
+        conv(channels, channels),
+        AvgPool(2),
+        conv(channels, channels),
+        GlobalAvgPool(),
+        HFCLayer(builtin("real"), channels, classes, activation="none", rng=rng),
+    ])
 
-    ``kind`` is "phc" (n=3 parameterized convs) or "real" (dense convs
-    of the same architecture).
+
+def blobs_classifier(kind, seed, channels=24, classes=4):
+    """The ``convnet`` with 3x3 convs: ``kind`` is "phc" (n=3
+    parameterized convs) or "real" (dense convs of the same architecture).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     real = builtin("real")
@@ -394,15 +408,7 @@ def blobs_classifier(kind, seed, channels=24, classes=4):
         conv = lambda ci, co: HConv2DLayer(real, ci, co, 3, padding=1, activation="relu", rng=rng)
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
-    return Network([
-        conv(3, channels),
-        AvgPool(2),
-        conv(channels, channels),
-        AvgPool(2),
-        conv(channels, channels),
-        GlobalAvgPool(),
-        HFCLayer(real, channels, classes, activation="none", rng=rng),
-    ])
+    return convnet(conv, channels, classes, rng)
 
 
 def conv_weight_count(net: Network) -> int:

@@ -1,0 +1,157 @@
+"""Bad layer arguments fail with the package's own errors at construction,
+through ``load_model`` and through ``config.model_from``; a mutated or
+truncated model file lets only ``FormatError`` escape ``load_model``."""
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hxnn import config as C
+from hxnn import serialize as S
+from hxnn import training as tr
+from hxnn.algebra import builtin
+from hxnn.errors import ConfigError, FormatError
+from hxnn.layers import HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
+from hxnn.phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer
+from test_serialize import file_with_cfg
+
+
+def rng(seed=0):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+Q = builtin("quaternion")
+
+BAD_CONSTRUCTIONS = {
+    "hfc activation": lambda: HFCLayer(Q, 8, 12, activation="reLU"),
+    "hconv2d activation": lambda: HConv2DLayer(Q, 4, 4, 3, activation="tanh"),
+    "hgraph activation": lambda: HGraphConvLayer(Q, 4, 4, activation=""),
+    "phm activation": lambda: PHMLayer(2, 4, 4, activation="Relu"),
+    "phc activation": lambda: PHCLayer(2, 4, 4, 3, activation="relu "),
+    "phgraph activation": lambda: PHGraphLayer(2, 4, 4, activation="gelu"),
+    "phatt activation": lambda: PHAttBlock(2, 4, activation="RELU"),
+    "hfc d=0": lambda: HFCLayer(Q, 0, 4),
+    "hfc s=-4": lambda: HFCLayer(Q, 4, -4),
+    "hconv2d in=0": lambda: HConv2DLayer(Q, 0, 4, 3),
+    "hconv2d kernel=0": lambda: HConv2DLayer(Q, 4, 4, 0),
+    "hconv2d stride=0": lambda: HConv2DLayer(Q, 4, 4, 3, stride=0),
+    "hatt channels=0": lambda: HAttBlock(Q, 0),
+    "hgraph s=0": lambda: HGraphConvLayer(Q, 4, 0),
+    "phm d=0": lambda: PHMLayer(2, 0, 4),
+    "phm n=0": lambda: PHMLayer(0, 4, 4),
+    "phc out=0": lambda: PHCLayer(2, 4, 0, 3),
+    "phc kernel=0": lambda: PHCLayer(2, 4, 4, 0),
+    "phatt heads=0": lambda: PHAttBlock(2, 4, heads=0),
+    "phatt features=0": lambda: PHAttBlock(2, 0),
+    "phgraph d=0": lambda: PHGraphLayer(2, 0, 4),
+    "avgpool window=0": lambda: tr.AvgPool(0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRUCTIONS))
+def test_bad_constructor_arguments_raise_config_error(case):
+    with pytest.raises(ConfigError):
+        BAD_CONSTRUCTIONS[case]()
+
+
+@pytest.mark.parametrize("layer, old, new", [
+    (HFCLayer(Q, 8, 12, rng=rng(1)), b"activation=relu\n", b"activation=reLU\n"),
+    (HFCLayer(Q, 8, 12, rng=rng(1)), b"d=8\n", b"d=0\n"),
+    (HConv2DLayer(Q, 4, 8, 3, rng=rng(2)), b"kernel=3\n", b"kernel=0\n"),
+    (HGraphConvLayer(Q, 8, 8, rng=rng(4)), b"activation=relu\n", b"activation=elu\n"),
+    (PHMLayer(3, 6, 9, rng=rng(5)), b"s=9\n", b"s=0\n"),
+    (PHCLayer(3, 3, 6, 3, rng=rng(6)), b"in=3\n", b"in=0\n"),
+    (PHAttBlock(2, 8, heads=2, rng=rng(7)), b"heads=2\n", b"heads=0\n"),
+    (PHGraphLayer(4, 8, 8, rng=rng(8)), b"activation=relu\n", b"activation=Relu\n"),
+    (tr.AvgPool(2), b"window=2\n", b"window=0\n"),
+])
+def test_bad_constructor_arguments_in_a_file_raise_format_error(layer, old, new, tmp_path):
+    with pytest.raises(FormatError, match=r"layer 0 \("):
+        S.load_model(file_with_cfg(tmp_path, layer, old, new))
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "mlp", "activation": "reLU"},
+    {"kind": "mlp", "algebra": "phm", "activation": "Relu"},
+    {"kind": "mlp", "hidden": "0"},
+    {"kind": "convnet", "activation": "tanh"},
+    {"kind": "convnet", "channels": "0"},
+    {"kind": "convnet", "algebra": "phm", "n": "3", "channels": "0"},
+])
+def test_bad_constructor_arguments_in_a_config_raise_config_error(model):
+    with pytest.raises(ConfigError):
+        C.model_from({"model": model, "train": {"seed": "1"}}, feature_dim=8, target_dim=3)
+
+
+def every_kind_model():
+    """One layer of every kind; the attention block has one projection
+    whose grid flags differ, so the file holds a frozen_<name> line."""
+    r = rng(3)
+    att = PHAttBlock(2, 4, heads=2, rng=r)
+    att.k.a[0].requires_grad = False
+    return tr.Network([
+        HFCLayer(Q, 4, 8, rng=r),
+        HFCLayer(builtin("real"), 3, 2, activation="none", bias=False, rng=r),
+        HConv2DLayer(Q, 4, 4, 3, padding=1, rng=r),
+        HAttBlock(Q, 4, rng=r),
+        HGraphConvLayer(Q, 4, 4, rng=r),
+        PHMLayer(2, 4, 6, activation="relu", rng=r),
+        PHCLayer(3, 3, 6, 3, padding=1, rng=r),
+        att,
+        PHGraphLayer(2, 4, 4, rng=r),
+        tr.Flatten(), tr.AvgPool(2), tr.GlobalAvgPool(), tr.Narrow(0, 2),
+    ])
+
+
+def saved_blob(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.hxnn")
+        S.save_model(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+BLOB = saved_blob(every_kind_model())
+PAYLOAD = 8 * sum(p.data.size for layer in every_kind_model().layers
+                  for p in S._describe(layer)[2])
+HEADER = len(BLOB) - PAYLOAD
+
+
+def load_bytes(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.hxnn")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return S.load_model(path)
+
+
+def test_every_kind_model_round_trips():
+    assert sorted(S.KINDS) == sorted({S._describe(l)[0] for l in every_kind_model().layers})
+    loaded = load_bytes(BLOB)
+    assert saved_blob(loaded) == BLOB
+    assert b"frozen_k=" in BLOB[:HEADER]
+
+
+@given(st.integers(0, HEADER - 1), st.integers(0, 255))
+@settings(max_examples=400, deadline=None)
+@example(12, 0x01)                                   # descriptor length
+@example(BLOB.index(b"hfc"), 0xFF)                   # kind string not UTF-8
+@example(BLOB.index(b"heads=2") + 6, ord("0"))       # heads=0
+@example(BLOB.index(b"d=4\n") + 2, ord("0"))         # d=0
+@example(BLOB.index(b"activation=none") + 11, ord("N"))
+def test_one_byte_header_edit_raises_only_format_error(pos, byte):
+    blob = BLOB[:pos] + bytes([byte]) + BLOB[pos + 1:]
+    try:
+        load_bytes(blob)
+    except FormatError:
+        pass
+
+
+@given(st.integers(0, len(BLOB) - 1))
+@settings(max_examples=200, deadline=None)
+def test_truncated_file_raises_format_error(length):
+    with pytest.raises(FormatError):
+        load_bytes(BLOB[:length])
