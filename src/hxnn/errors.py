@@ -27,3 +27,11 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """A config file failed to parse or validate."""
+
+
+class TrainingDiverged(ValueError):
+    """An epoch's mean training loss is not finite."""
+
+    def __init__(self, epoch, loss):
+        super().__init__(f"training diverged: epoch {epoch} mean training loss is {loss}")
+        self.epoch, self.loss = epoch, loss

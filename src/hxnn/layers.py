@@ -141,6 +141,8 @@ class KronConv2D(KronLayer):
         co = _check_divisible(out_channels, len(a), "out_channels")
         _check_divisible(kernel, 1, "kernel")
         _check_divisible(stride, 1, "stride")
+        if padding < 0:
+            raise ConfigError(f"padding={padding} must not be negative")
         self.in_channels, self.out_channels = in_channels, out_channels
         self.kernel, self.stride, self.padding = kernel, stride, padding
         self.activation, self._act = activation, _activation(activation)

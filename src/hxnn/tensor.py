@@ -209,7 +209,7 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    if not (0 <= start and start + length <= a.data.shape[axis]):
+    if not (0 <= start and 0 <= length and start + length <= a.data.shape[axis]):
         raise ShapeError(
             f"narrow: [{start}:{start + length}] out of range on axis {axis} "
             f"of shape {a.data.shape}"

@@ -2,6 +2,11 @@
 
 Everything is seeded through explicit numpy Generators: the same config
 and seed reproduce the same trajectory bit for bit.
+
+The Adam state owns the parameter storage: ``adam_step``'s first call
+packs every parameter into one buffer and rebinds each ``p.data`` to its
+view, so later steps update all parameters in one pass.  ``train``
+raises ``TrainingDiverged`` when an epoch's mean loss is not finite.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import numpy as np
 from . import geometry as G
 from . import tensor as T
 from .algebra import builtin
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, TrainingDiverged
 from .layers import HConv2DLayer, HFCLayer, KronConv2D, Layer
 from .phlayers import PHCLayer, PHMLayer
 
@@ -96,31 +101,54 @@ def sgd_step(params, lr):
 
 
 def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update; ``state`` is created on first use.
-    Moments and parameters are updated in place, with the operands of the
-    textbook form in the same order, so the results are bit-identical."""
+    """One bias-corrected Adam update of every parameter in one pass.
+
+    The first call, with an empty ``state``, packs the parameters into
+    one float64 buffer: each value is copied in and ``p.data`` is rebound
+    to its view, so from then on the state owns the parameter storage.
+    The moments (``state["m"]``, ``state["v"]``, per-parameter views) and
+    a gradient buffer share that allocation.  Each step gathers the
+    gradients (``None`` reads as zero) and applies the textbook update
+    once to the whole buffer, with the operands in the textbook order, so
+    the results are bit-identical to updating each tensor on its own.
+    A parameter whose ``data`` no longer is its packed view raises
+    ``ValueError`` rather than have the update miss it.
+    """
     if not state:
-        # All moments live in one buffer: a single long-lived allocation
-        # leaves the heap's large free chunks whole, where one per
-        # parameter split them (about 10 MB more peak memory training the
-        # texture classifiers).
-        bounds = np.cumsum([0] + [p.data.size for p in params])
-        moments = np.zeros((2, bounds[-1]))
-        state["t"] = 0
-        state["m"], state["v"] = (
-            [row[a:b].reshape(p.data.shape) for a, b, p in zip(bounds, bounds[1:], params)]
-            for row in moments
-        )
+        _pack(params, state)
+    if len(params) != len(state["data"]):
+        raise ValueError(f"adam_step: {len(params)} parameters, state holds {len(state['data'])}")
+    for p, view, grad in zip(params, state["data"], state["g"]):
+        if p.data is not view:
+            raise ValueError(f"adam_step: parameter of shape {p.data.shape} is not "
+                             "the view packed on the first step (was .data rebound?)")
+        grad[...] = p.grad if p.grad is not None else 0.0
+    data, m, v, g = state["buffer"]
     state["t"] += 1
     t = state["t"]
-    for p, m, v in zip(params, state["m"], state["v"]):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        p.data -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    data -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
     return state
+
+
+def _pack(params, state):
+    """Move ``params`` into one (4, total) buffer of values, first and
+    second moments and gradients, and rebind each ``p.data`` to its view."""
+    if len({id(p) for p in params}) != len(params):
+        raise ValueError("adam_step: a parameter is listed more than once")
+    bounds = np.cumsum([0] + [p.data.size for p in params])
+    buffer = np.zeros((4, bounds[-1]))
+    data, m, v, g = (
+        [row[a:b].reshape(p.data.shape) for a, b, p in zip(bounds, bounds[1:], params)]
+        for row in buffer
+    )
+    for p, view in zip(params, data):
+        view[...] = p.data
+        p.data = view
+    state.update(t=0, buffer=buffer, data=data, m=m, v=v, g=g)
 
 
 def zero_grads(params):
@@ -299,6 +327,9 @@ class Narrow(Layer):
     """Keep a contiguous slice of axis 1 (e.g. decode model outputs)."""
 
     def __init__(self, start, length):
+        if start < 0 or length < 1:
+            raise ConfigError(f"narrow start={start}, length={length}: start must not be "
+                              "negative and length must be at least 1")
         self.start, self.length = start, length
 
     def forward(self, x):
@@ -339,7 +370,7 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Metrics:
     free, dense = model.param_count()
     metrics = Metrics(free_params=free, dense_params=dense)
     xs, ys = dataset.train_inputs, dataset.train_targets
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         total, count = 0.0, 0
         for idx in _batch_iter(len(xs), config.batch_size, rng):
             zero_grads(params)
@@ -355,6 +386,8 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Metrics:
             total += loss.item() * len(idx)
             count += len(idx)
         metrics.losses.append(total / count)
+        if not np.isfinite(metrics.losses[-1]):
+            raise TrainingDiverged(epoch, metrics.losses[-1])
         metrics.scores.append(
             evaluate(model, dataset.test_inputs, dataset.test_targets, config.task)
         )

@@ -1,0 +1,67 @@
+"""A diverging run, a negative ``Narrow`` slice and negative conv padding
+fail with the package's own errors instead of passing silently."""
+import numpy as np
+import pytest
+
+from hxnn import serialize as S
+from hxnn import tensor as T
+from hxnn import training as tr
+from hxnn.algebra import builtin
+from hxnn.errors import ConfigError, FormatError, ShapeError, TrainingDiverged
+from hxnn.layers import HConv2DLayer
+from hxnn.phlayers import PHCLayer
+from test_serialize import file_with_cfg
+
+
+def test_sgd_at_huge_lr_raises_training_diverged():
+    ds = tr.lorenz_trajectories(0, count=4, steps=400)
+    f = tr.lorenz_forecaster("real", seed=0)
+    enc = tr.Dataset(f.features(ds.inputs), f.train_targets(ds.inputs, ds.targets),
+                     ds.train_idx, ds.test_idx)
+    cfg = tr.TrainConfig(seed=0, epochs=5, batch_size=32, lr=1e30, optimizer="sgd")
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        tr.train(f.net, enc, cfg)
+    assert 1 <= info.value.epoch <= cfg.epochs
+    assert not np.isfinite(info.value.loss)
+    assert f"epoch {info.value.epoch}" in str(info.value)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("start, length", [(0, -1), (0, 0), (-1, 2), (-2, -1)])
+def test_narrow_layer_rejects_negative_start_or_short_length(start, length):
+    with pytest.raises(ConfigError):
+        tr.Narrow(start, length)
+
+
+@pytest.mark.parametrize("old, new", [(b"length=2\n", b"length=-1\n"),
+                                      (b"length=2\n", b"length=0\n"),
+                                      (b"start=0\n", b"start=-1\n")])
+def test_narrow_layer_with_bad_slice_in_a_file_raises_format_error(old, new, tmp_path):
+    with pytest.raises(FormatError, match=r"layer 0 \("):
+        S.load_model(file_with_cfg(tmp_path, tr.Narrow(0, 2), old, new))
+
+
+def test_tensor_narrow_rejects_negative_length():
+    x = T.Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        T.narrow(x, 1, 0, -1)
+    assert T.narrow(x, 1, 1, 0).data.shape == (2, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HConv2DLayer(builtin("real"), 2, 2, 3, padding=-1),
+    lambda: HConv2DLayer(builtin("quaternion"), 4, 4, 3, padding=-2),
+    lambda: PHCLayer(2, 4, 4, 3, padding=-1),
+])
+def test_conv_rejects_negative_padding(build):
+    with pytest.raises(ConfigError, match="padding"):
+        build()
+
+
+@pytest.mark.parametrize("layer", [
+    HConv2DLayer(builtin("quaternion"), 4, 8, 3, padding=1),
+    PHCLayer(2, 4, 4, 3, padding=1),
+])
+def test_conv_with_negative_padding_in_a_file_raises_format_error(layer, tmp_path):
+    with pytest.raises(FormatError, match=r"layer 0 \("):
+        S.load_model(file_with_cfg(tmp_path, layer, b"padding=1\n", b"padding=-1\n"))
