@@ -10,6 +10,8 @@ exact integer arithmetic.
 The left-multiplication matrix of a fixed element w (the block layout
 that weight-sharing layers instantiate) is derived from the same table,
 so ``multiply`` and ``left_matrix`` share one code path by construction.
+``multiply_arrays`` applies the table itself to whole (..., n) coefficient
+arrays; it is the quaternion product behind :mod:`hxnn.geometry`.
 """
 from __future__ import annotations
 
@@ -327,14 +329,22 @@ def multiply(a: Algebra, x: HNumber, y: HNumber) -> HNumber:
     return HNumber(a, left_matrix(a, x) @ y.coeffs)
 
 
-def _mul_batch(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorised product on (..., n) coefficient arrays."""
-    out = np.zeros(np.broadcast(x, y).shape)
-    for i in range(a.n):
+def multiply_arrays(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product in ``a`` on (..., n) coefficient arrays, broadcast together.
+
+    Coefficient k starts from its e_0 * e_k term (the Algebra checks that
+    e_0 is the identity) and adds the others in (i, j) order, never
+    starting from zero, so quaternion products carry the bits (signed
+    zeros too) of the Hamilton formula written out term by term.
+    """
+    out = x[..., :1] * y
+    for i in range(1, a.n):
         for j in range(a.n):
-            s = a.signs[i, j]
-            if s:
-                out[..., a.indices[i, j]] += s * x[..., i] * y[..., j]
+            s, k = a.signs[i, j], a.indices[i, j]
+            if s > 0:
+                out[..., k] += x[..., i] * y[..., j]
+            elif s < 0:
+                out[..., k] -= x[..., i] * y[..., j]
     return out
 
 
@@ -342,21 +352,17 @@ def _mul_batch(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # property verification
 
 
-def _basis_vectors(n):
-    return [e for e in np.eye(n)]
+def _basis_tuples(n, k):
+    """All n**k k-tuples of basis vectors, as k aligned (n**k, n) arrays."""
+    return list(np.eye(n)[np.indices((n,) * k).reshape(k, -1)])
 
 
-def _pair_sums(n):
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = np.zeros(n)
-            v[i] = 1.0
-            v[j] = 1.0
-            out.append(v.copy())
-            v[j] = -1.0
-            out.append(v)
-    return out
+def _basis_and_pair_sums(n):
+    """The n basis vectors, then e_i + e_j and e_i - e_j for each i < j."""
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    pairs = np.stack([eye[i] + eye[j], eye[i] - eye[j]], axis=1).reshape(-1, n)
+    return np.concatenate([eye, pairs])
 
 
 def _random_units(rng, count, n):
@@ -382,38 +388,26 @@ def check_property(
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
     n = a.n
     rng = np.random.Generator(np.random.PCG64(seed))
-    mul = lambda x, y: _mul_batch(a, x, y)
+    mul = lambda x, y: multiply_arrays(a, x, y)
 
     if prop == "commutative":
-        for i in range(n):
-            for j in range(n):
-                si, sj = a.signs[i, j], a.signs[j, i]
-                if si != sj or (si != 0 and a.indices[i, j] != a.indices[j, i]):
-                    return False
+        x, y = _basis_tuples(n, 2)
+        if not np.array_equal(mul(x, y), mul(y, x)):
+            return False
         x, y = _random_units(rng, samples, n), _random_units(rng, samples, n)
         return bool(np.max(np.abs(mul(x, y) - mul(y, x))) <= tol)
 
     if prop == "associative":
-        # exact composition of the monomial table over all basis triples
-        for i in range(n):
-            for j in range(n):
-                s1, k1 = int(a.signs[i, j]), a.indices[i, j]
-                for k in range(n):
-                    sl = 0 if s1 == 0 else s1 * int(a.signs[k1, k])
-                    kl = a.indices[k1, k]
-                    s2, k2 = int(a.signs[j, k]), a.indices[j, k]
-                    sr = 0 if s2 == 0 else s2 * int(a.signs[i, k2])
-                    kr = a.indices[i, k2]
-                    if sl != sr or (sl != 0 and kl != kr):
-                        return False
+        x, y, z = _basis_tuples(n, 3)
+        if not np.array_equal(mul(mul(x, y), z), mul(x, mul(y, z))):
+            return False
         x, y, z = (_random_units(rng, samples, n) for _ in range(3))
         return bool(np.max(np.abs(mul(mul(x, y), z) - mul(x, mul(y, z)))) <= tol)
 
     if prop == "alternative":
         # quadratic in x, so basis elements alone do not decide it:
         # include two-term sums to cover polarised cases exactly
-        xs = np.array(_basis_vectors(n) + _pair_sums(n))
-        ys = np.array(_basis_vectors(n))
+        xs, ys = _basis_and_pair_sums(n), np.eye(n)
         X = np.repeat(xs, len(ys), axis=0)
         Y = np.tile(ys, (len(xs), 1))
         left_ok = np.max(np.abs(mul(mul(X, X), Y) - mul(X, mul(X, Y)))) == 0.0
@@ -435,7 +429,7 @@ def check_property(
         base = x4[0]
         return all(np.max(np.abs(v - base)) <= t for v in x4[1:])
 
-    exact = np.array(_basis_vectors(n) + _pair_sums(n))
+    exact = _basis_and_pair_sums(n)
     if not powers_agree(exact, 0.0):
         return False
     return powers_agree(_random_units(rng, samples, n), tol)
@@ -457,15 +451,9 @@ def find_zero_divisor(a: Algebra, budget: int = 100_000):
     ``budget`` caps the number of candidate pairs examined.
     """
     n = a.n
-    cands = np.array(_basis_vectors(n) + _pair_sums(n))
-    # dense structure tensor: products[x, y, k] via two contractions
-    t = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            t[i, j, a.indices[i, j]] = a.signs[i, j]
+    cands = _basis_and_pair_sums(n)
     m = len(cands)
-    xt = np.einsum("xi,ijk->xjk", cands, t)
-    prods = np.einsum("xjk,yj->xyk", xt, cands)
+    prods = multiply_arrays(a, cands[:, None, :], cands[None, :, :])
     zero = ~np.any(prods != 0.0, axis=2)
     order = np.argwhere(zero)
     for xi, yi in order:

@@ -1,12 +1,12 @@
 """Quaternion rotations, dual-quaternion rigid transforms, and an
 empirical equivariance test harness.
 
-A 3-vector rotates through the sandwich of two Hamilton products with
-the unit quaternion and its conjugate.  A unit dual quaternion packs a
-6-DoF rigid transform: the rotation in the real part and the translation
-in the dual part via q_d = (1/2) t q_r.  Dual-quaternion products run
-through the dual-quaternion structure table of :mod:`hxnn.algebra` so the
-two representations stay consistent by construction.
+Quaternion products are ``algebra.multiply_arrays`` on the quaternion
+structure table, applied to whole (..., 4) coefficient arrays, so the
+one-rotation API and batched callers such as the window encoders share
+one code path.  A 3-vector v rotates as q (0, v) conj(q).  A unit dual
+quaternion packs a 6-DoF rigid transform: the rotation in the real part
+and the translation in the dual part via q_d = (1/2) t q_r.
 """
 from __future__ import annotations
 
@@ -14,26 +14,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import builtin, multiply
+from .algebra import builtin, multiply, multiply_arrays
 from .errors import DegenerateAxis, NormalizationError
 
 UNIT_TOL = 1e-9
+QUATERNION = builtin("quaternion")
 
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product on (w, x, y, z) coefficient arrays."""
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+def dot_rows(u, v) -> np.ndarray:
+    """Dot products of matching (..., m) rows, each the BLAS dot that
+    ``u @ v`` runs on one pair of vectors, so batched and one-at-a-time
+    callers agree bit for bit (``einsum`` and ``sum(axis=-1)`` do not)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+def quat_conj(q) -> np.ndarray:
+    return np.asarray(q, dtype=np.float64) * [1.0, -1.0, -1.0, -1.0]
+
+
+def pure_quaternions(v) -> np.ndarray:
+    """(..., 3) vectors as pure quaternions (0, v)."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.concatenate([np.zeros_like(v[..., :1]), v], axis=-1)
+
+
+def _checked_unit(c: np.ndarray) -> np.ndarray:
+    """``c`` if every (..., 4) row has norm within UNIT_TOL of 1, else
+    NormalizationError; a row with a non-finite coefficient fails too."""
+    err = np.abs(np.sqrt(dot_rows(c, c)) - 1.0)
+    if not np.all(err <= UNIT_TOL):
+        raise NormalizationError(f"norm departs from 1 by {np.max(err):.12g} > {UNIT_TOL}")
+    return c
+
+
+def unit_quaternions(coeffs) -> np.ndarray:
+    """(..., 4) rows divided by their norms, each checked as the
+    UnitQuaternion constructor checks one."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    nrm = np.sqrt(dot_rows(c, c))[..., None]
+    if not np.all(np.isfinite(nrm) & (nrm > 0.0)):
+        raise NormalizationError("cannot normalize a zero or non-finite quaternion")
+    return _checked_unit(c / nrm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,19 +67,11 @@ class UnitQuaternion:
         c = np.asarray(self.coeffs, dtype=np.float64)
         if c.shape != (4,):
             raise ValueError(f"quaternion needs 4 coefficients, got {c.shape}")
-        if abs(np.linalg.norm(c) - 1.0) > UNIT_TOL:
-            raise NormalizationError(
-                f"norm {np.linalg.norm(c):.12g} departs from 1 beyond {UNIT_TOL}"
-            )
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _checked_unit(c))
 
     @classmethod
     def normalize(cls, coeffs) -> "UnitQuaternion":
-        c = np.asarray(coeffs, dtype=np.float64)
-        nrm = np.linalg.norm(c)
-        if nrm == 0.0:
-            raise NormalizationError("cannot normalize the zero quaternion")
-        return cls(c / nrm)
+        return cls(unit_quaternions(coeffs))
 
     @classmethod
     def identity(cls) -> "UnitQuaternion":
@@ -68,7 +81,7 @@ class UnitQuaternion:
         return UnitQuaternion(quat_conj(self.coeffs))
 
     def __mul__(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        return UnitQuaternion.normalize(quat_mul(self.coeffs, other.coeffs))
+        return UnitQuaternion.normalize(multiply_arrays(QUATERNION, self.coeffs, other.coeffs))
 
 
 def quat_from_axis_angle(axis, angle: float) -> UnitQuaternion:
@@ -83,10 +96,10 @@ def quat_from_axis_angle(axis, angle: float) -> UnitQuaternion:
 
 
 def quat_rotate(q: UnitQuaternion, v) -> np.ndarray:
-    """Rotate a 3-vector: imaginary part of q * (0, v) * conj(q)."""
-    v = np.asarray(v, dtype=np.float64)
-    pure = np.concatenate([[0.0], v])
-    return quat_mul(quat_mul(q.coeffs, pure), quat_conj(q.coeffs))[1:]
+    """Rotate (..., 3) vectors: imaginary part of q * (0, v) * conj(q)."""
+    turned = multiply_arrays(QUATERNION, multiply_arrays(QUATERNION, q.coeffs, pure_quaternions(v)),
+                             quat_conj(q.coeffs))
+    return np.ascontiguousarray(turned[..., 1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,18 +157,24 @@ class DualQuaternion:
         return DualQuaternion(qr, qd)
 
 
+def dq_coeffs(rotation, translation) -> np.ndarray:
+    """(..., 8) dual-quaternion coefficients (q_r, (1/2) t q_r) of the
+    motions that turn by the unit quaternions ``rotation`` (..., 4), then
+    shift by ``translation`` (..., 3)."""
+    qd = 0.5 * multiply_arrays(QUATERNION, pure_quaternions(translation), rotation)
+    return np.concatenate([rotation, qd], axis=-1)
+
+
 def dq_from_rt(t: RigidTransform) -> DualQuaternion:
     """Encode a rigid transform; the dual part is (1/2) t q_r."""
-    qr = t.rotation.coeffs
-    pure = np.concatenate([[0.0], t.translation])
-    return DualQuaternion(qr, 0.5 * quat_mul(pure, qr))
+    return DualQuaternion(*np.split(dq_coeffs(t.rotation.coeffs, t.translation), 2))
 
 
 def dq_to_rt(dq: DualQuaternion, tol: float = UNIT_TOL) -> RigidTransform:
     if not dq.is_unit(tol):
         raise NormalizationError("dual quaternion is not unit within tolerance")
     qr = UnitQuaternion.normalize(dq.q_r)
-    t = 2.0 * quat_mul(dq.q_d, quat_conj(qr.coeffs))[1:]
+    t = 2.0 * multiply_arrays(QUATERNION, dq.q_d, quat_conj(qr.coeffs))[1:]
     return RigidTransform(qr, t)
 
 
@@ -183,17 +202,6 @@ class EquivarianceRow:
     ratio: float
 
 
-def _translate(points: np.ndarray, m: float) -> np.ndarray:
-    return points + m
-
-
-def _rotate(points: np.ndarray, m: float, axis) -> np.ndarray:
-    q = quat_from_axis_angle(axis, m)
-    flat = points.reshape(-1, 3)
-    out = np.array([quat_rotate(q, p) for p in flat])
-    return out.reshape(points.shape)
-
-
 def equivariance_report(predict, transform_family, inputs, targets, magnitudes,
                         axis=(0.0, 0.0, 1.0)):
     """Measure how prediction error degrades under input+target transforms.
@@ -213,9 +221,10 @@ def equivariance_report(predict, transform_family, inputs, targets, magnitudes,
     rows = []
     for m in magnitudes:
         if transform_family == "translation":
-            ti, tt = _translate(inputs, m), _translate(targets, m)
+            ti, tt = inputs + m, targets + m
         else:
-            ti, tt = _rotate(inputs, m, axis), _rotate(targets, m, axis)
+            q = quat_from_axis_angle(axis, m)
+            ti, tt = quat_rotate(q, inputs), quat_rotate(q, targets)
         mse = float(np.mean((predict(ti) - tt) ** 2))
         ratio = mse / base_mse if base_mse else (1.0 if mse == 0.0 else np.inf)
         rows.append(EquivarianceRow(float(m), base_mse, mse, ratio))

@@ -7,6 +7,9 @@ The Adam state owns the parameter storage: ``adam_step``'s first call
 packs every parameter into one buffer and rebinds each ``p.data`` to its
 view, so later steps update all parameters in one pass.  ``train``
 raises ``TrainingDiverged`` when an epoch's mean loss is not finite.
+``lorenz_trajectories`` integrates all trajectories as one state array,
+and the dual-quaternion encoder turns all windows at once through the
+array geometry of :mod:`hxnn.geometry`.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 from . import geometry as G
 from . import tensor as T
 from .algebra import builtin
-from .errors import ConfigError, ShapeError, TrainingDiverged
+from .errors import ConfigError, NormalizationError, ShapeError, TrainingDiverged
 from .layers import HConv2DLayer, HFCLayer, KronConv2D, Layer
 from .phlayers import PHCLayer, PHMLayer
 
@@ -243,29 +246,29 @@ def lorenz_trajectories(seed, count, steps, dt=0.01, sample_every=10,
     """Sliding windows over chaotic trajectories: ``window`` past points
     map to the next point.  Windows are spaced ``sample_every`` solver
     steps apart; train and test windows come from disjoint trajectories.
+    All trajectories integrate together as one (3, count) state.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    all_inputs, all_targets, owners = [], [], []
-    for traj in range(count):
-        y = rng.uniform(-12.0, 12.0, size=3) + np.array([0.0, 0.0, 24.0])
-        for _ in range(burn_in):
-            y = rk4_step(lorenz_rhs, y, dt)
-        recorded = np.empty((steps, 3))
-        for s in range(steps):
-            y = rk4_step(lorenz_rhs, y, dt)
-            recorded[s] = y
-        series = recorded[::sample_every]
-        for start in range(len(series) - window):
-            all_inputs.append(series[start : start + window])
-            all_targets.append(series[start + window])
-            owners.append(traj)
-    inputs = np.array(all_inputs)
-    targets = np.array(all_targets)
-    owners = np.array(owners)
+    if dt <= 0 or sample_every < 1 or window < 1:
+        raise ConfigError(f"need dt > 0, sample_every >= 1 and window >= 1, "
+                          f"got {dt}, {sample_every}, {window}")
+    samples = len(range(0, steps, sample_every))
     n_test_traj = max(1, int(round(count * test_fraction)))
-    test_mask = owners >= count - n_test_traj
+    if samples <= window or n_test_traj >= count:
+        raise ConfigError(f"steps={steps}, count={count} give {samples} samples per trajectory "
+                          f"(need {window + 1}) and {count - n_test_traj} to train on (need 1)")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    y = (rng.uniform(-12.0, 12.0, size=(count, 3)) + np.array([0.0, 0.0, 24.0])).T
+    for _ in range(burn_in):
+        y = rk4_step(lorenz_rhs, y, dt)
+    recorded = np.empty((steps, 3, count))
+    for s in range(steps):
+        y = rk4_step(lorenz_rhs, y, dt)
+        recorded[s] = y
+    points = recorded[::sample_every].transpose(2, 0, 1).reshape(-1, 3)  # trajectory-major
+    starts = (np.arange(count)[:, None] * samples + np.arange(samples - window)).ravel()
+    inputs = points[starts[:, None] + np.arange(window)]
+    targets = points[starts + window]
+    test_mask = starts // samples >= count - n_test_traj  # test trajectories come last
     return Dataset(inputs, targets,
                    np.flatnonzero(~test_mask), np.flatnonzero(test_mask))
 
@@ -370,6 +373,8 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Metrics:
     free, dense = model.param_count()
     metrics = Metrics(free_params=free, dense_params=dense)
     xs, ys = dataset.train_inputs, dataset.train_targets
+    if config.epochs and len(xs) == 0:
+        raise ShapeError("the training split is empty")
     for epoch in range(1, config.epochs + 1):
         total, count = 0.0, 0
         for idx in _batch_iter(len(xs), config.batch_size, rng):
@@ -465,21 +470,19 @@ def encode_windows_flat(windows: np.ndarray) -> np.ndarray:
 
 def encode_windows_pure_quaternion(windows: np.ndarray) -> np.ndarray:
     """Zero-pad each 3-point into a pure quaternion (0, x, y, z)."""
-    n, w, _ = windows.shape
-    quats = np.zeros((n, w, 4))
-    quats[:, :, 1:] = windows
-    return _component_major(quats)
+    return _component_major(G.pure_quaternions(windows))
 
 
 def _rotation_between(u, v):
-    """Unit quaternion turning direction u into direction v."""
-    w = 1.0 + float(u @ v)
-    if w < 1e-12:  # antiparallel: half-turn about any perpendicular axis
-        axis = np.cross(u, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-12:
-            axis = np.cross(u, [0.0, 1.0, 0.0])
-        return G.UnitQuaternion.normalize(np.concatenate([[0.0], axis]))
-    return G.UnitQuaternion.normalize(np.concatenate([[w], np.cross(u, v)]))
+    """(m, 4) unit quaternions turning each direction u[r] into v[r]."""
+    w = 1.0 + G.dot_rows(u, v)
+    q = np.concatenate([w[:, None], np.cross(u, v)], axis=1)
+    anti = w < 1e-12  # antiparallel: half-turn about any perpendicular axis
+    axis = np.cross(u[anti], [1.0, 0.0, 0.0])
+    along_x = np.sqrt(G.dot_rows(axis, axis)) < 1e-12
+    axis[along_x] = np.cross(u[anti][along_x], [0.0, 1.0, 0.0])
+    q[anti] = G.pure_quaternions(axis)
+    return G.unit_quaternions(q)
 
 
 def encode_windows_dual_quaternion(windows: np.ndarray) -> np.ndarray:
@@ -489,26 +492,25 @@ def encode_windows_dual_quaternion(windows: np.ndarray) -> np.ndarray:
     consecutive direction vectors plus the step displacement.  Only
     displacements enter, so the encoding is translation-invariant and
     predictions built on it are translation-equivariant by construction.
+    A step that moves turns from the window's last earlier moving step;
+    still steps and each window's first moving step are the identity.
     """
     n, w, _ = windows.shape
-    out = np.zeros((n, w - 1, 8))
-    for i in range(n):
-        disps = np.diff(windows[i], axis=0)
-        norms = np.linalg.norm(disps, axis=1)
-        prev_dir = None
-        for t in range(w - 1):
-            if norms[t] < 1e-12:
-                rot = G.UnitQuaternion.identity()
-            elif prev_dir is None:
-                rot = G.UnitQuaternion.identity()
-                prev_dir = disps[t] / norms[t]
-            else:
-                cur = disps[t] / norms[t]
-                rot = _rotation_between(prev_dir, cur)
-                prev_dir = cur
-            dq = G.dq_from_rt(G.RigidTransform(rot, disps[t]))
-            out[i, t] = dq.coeffs
-    return _component_major(out)
+    bad = np.flatnonzero(~np.isfinite(windows).all(axis=(1, 2)))
+    if bad.size:
+        raise NormalizationError(f"window {bad[0]} has non-finite coordinates")
+    disps = np.diff(windows, axis=1)
+    norms = np.linalg.norm(disps, axis=2)
+    moving = norms >= 1e-12
+    dirs = np.zeros_like(disps)
+    dirs[moving] = disps[moving] / norms[moving][:, None]
+    # each step's previous moving step in its window, or -1 if none
+    last = np.maximum.accumulate(np.where(moving, np.arange(w - 1), -1), axis=1)
+    prev = np.pad(last[:, :-1], ((0, 0), (1, 0)), constant_values=-1)
+    win, t = np.nonzero(moving & (prev >= 0))
+    rots = np.tile([1.0, 0.0, 0.0, 0.0], (n, w - 1, 1))
+    rots[win, t] = _rotation_between(dirs[win, prev[win, t]], dirs[win, t])
+    return _component_major(G.dq_coeffs(rots, disps))
 
 
 @dataclass
