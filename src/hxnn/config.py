@@ -84,10 +84,6 @@ def _int_list(value: str):
     return [int(v) for v in value.split(",") if v.strip()]
 
 
-def _float_list(value: str):
-    return [float(v) for v in value.split(",") if v.strip()]
-
-
 def dataclass_from(cls, cfg: dict, keys: dict, seed=None):
     """The dataclass ``cls`` set from the parsed config file ``cfg``, then
     ``seed`` if given.  ``keys`` maps a field name to its "section.key";

@@ -42,10 +42,23 @@ def _activation(name):
 
 
 class Layer:
-    """Minimal layer protocol: parameters() and forward()."""
+    """Minimal layer protocol: parameters() and forward().
+
+    A composite layer lists the layers it applies in ``sublayers``; its
+    parameters and counts are theirs, collected in that order.  A leaf
+    with tensors of its own (``KronLayer``) overrides both methods.
+    """
+
+    sublayers = ()
 
     def parameters(self):
-        return []
+        return [p for sub in self.sublayers for p in sub.parameters()]
+
+    def param_count(self):
+        """(free, dense): trainable entries, and those of the dense
+        weights plus biases, summed over ``sublayers``."""
+        counts = [sub.param_count() for sub in self.sublayers]
+        return sum(f for f, _ in counts), sum(d for _, d in counts)
 
     def forward(self, x):
         raise NotImplementedError
@@ -93,12 +106,11 @@ class KronLayer(Layer):
         return ps
 
     def param_count(self):
-        """(free, dense): trainable entries, and those of the dense weight
-        W plus the bias."""
+        """(free, dense): the entries of ``parameters()``, and those of
+        the dense weight W plus the bias."""
         n, block = len(self.f), self.f[0].data.size
         nb = self.bias.data.size if self.bias is not None else 0
-        grids = sum(a.data.size for a in self.a if a.requires_grad)
-        return grids + n * block + nb, n * n * block + nb
+        return sum(p.data.size for p in self.parameters()), n * n * block + nb
 
 
 class KronLinear(KronLayer):
@@ -220,19 +232,13 @@ class HAttBlock(Layer):
                                  padding=pad, activation="relu", rng=rng)
         self.proj = HConv2DLayer(algebra, channels, channels, 1,
                                  activation="none", rng=rng)
+        self.sublayers = (self.feature, self.fuse, self.proj)
 
     def forward(self, x):
         h = self.feature(x)
         a = self.proj(self.fuse(T.concat([h, h], axis=1)))
         g = T.sigmoid(a) if self.gate == "sigmoid" else a
         return T.mul(g, x)
-
-    def parameters(self):
-        return self.feature.parameters() + self.fuse.parameters() + self.proj.parameters()
-
-    def param_count(self):
-        frees, denses = zip(*(l.param_count() for l in (self.feature, self.fuse, self.proj)))
-        return sum(frees), sum(denses)
 
 
 class Graph:
@@ -241,12 +247,15 @@ class Graph:
 
     def __init__(self, num_nodes, edges, features):
         self.num_nodes = num_nodes
-        self.edges = [tuple(e) for e in edges]
+        self.edges = [tuple(e) if isinstance(e, (tuple, list, np.ndarray)) else (e,)
+                      for e in edges]
+        for e in self.edges:
+            if len(e) != 2 or not all(isinstance(v, (int, np.integer)) and 0 <= v < num_nodes
+                                      for v in e):
+                raise ShapeError(f"edge {e}: want a pair of node indices in [0, {num_nodes})")
         feats = np.asarray(features, dtype=np.float64)
-        if feats.shape[0] != num_nodes:
-            raise ShapeError(
-                f"features rows {feats.shape[0]} != node count {num_nodes}"
-            )
+        if feats.ndim != 2 or feats.shape[0] != num_nodes:
+            raise ShapeError(f"features of shape {feats.shape}: want ({num_nodes}, d)")
         self.features = feats
         a = np.zeros((num_nodes, num_nodes))
         for u, v in self.edges:
@@ -263,6 +272,7 @@ class KronGraph(Layer):
 
     def __init__(self, inner: KronLinear, activation):
         self.inner = inner
+        self.sublayers = (inner,)
         self.d, self.s = inner.d, inner.s
         self.activation, self._act = activation, _activation(activation)
 
@@ -277,12 +287,6 @@ class KronGraph(Layer):
 
     def forward(self, x):
         raise TypeError("graph layers are applied with forward_graph(graph)")
-
-    def parameters(self):
-        return self.inner.parameters()
-
-    def param_count(self):
-        return self.inner.param_count()
 
 
 class HGraphConvLayer(KronGraph):

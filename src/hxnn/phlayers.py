@@ -82,6 +82,7 @@ class PHAttBlock(Layer):
         self.v = PHMLayer(n, features, features, activation=activation, rng=rng)
         self.out = PHMLayer(n, features, features, rng=rng) if heads > 1 else None
         self.projections = [self.q, self.k, self.v] + ([self.out] if self.out else [])
+        self.sublayers = self.projections
 
     def attention(self, x) -> T.Tensor:
         if x.data.ndim != 3 or x.data.shape[2] != self.features:
@@ -105,13 +106,6 @@ class PHAttBlock(Layer):
         att = self.attention(x)
         return T.mul(att, x) if self.mode == "gate" else att
 
-    def parameters(self):
-        return [p for m in self.projections for p in m.parameters()]
-
-    def param_count(self):
-        frees, denses = zip(*(m.param_count() for m in self.projections))
-        return sum(frees), sum(denses)
-
 
 class PHGraphLayer(KronGraph):
     """Graph aggregation with a learned Kronecker-sum weight."""
@@ -122,22 +116,20 @@ class PHGraphLayer(KronGraph):
 
 
 def grid_owners(layer) -> list:
-    """The PHM-family sublayers whose learned grid matrices ``layer``
-    holds, in parameter order: the layer itself, its inner layer, its
-    attention projections, or none for a layer with constant grids."""
+    """The PHM-family layers whose learned grid matrices ``layer`` holds,
+    in parameter order: a ``PHMLayer`` or ``PHCLayer`` owns its grids,
+    any other layer (a ``Network`` too) returns its sublayers' owners."""
     if isinstance(layer, (PHMLayer, PHCLayer)):
         return [layer]
-    if isinstance(layer, PHGraphLayer):
-        return [layer.inner]
-    if isinstance(layer, PHAttBlock):
-        return layer.projections
-    return []
+    return [owner for sub in layer.sublayers for owner in grid_owners(sub)]
 
 
 def collapse_to_algebra(layer, algebra: Algebra):
-    """Freeze the grid matrices of a PHM-family layer to a built-in
-    algebra's left pattern; the layer then equals its algebra-bound
-    counterpart exactly.  Returns the layer for chaining."""
+    """Freeze the grid matrices of every PHM-family layer in ``layer``
+    (one layer or a whole ``Network``) to a built-in algebra's left
+    pattern; each then equals its algebra-bound counterpart exactly.
+    Every owner's n is checked before any grid changes.  Returns the
+    layer for chaining."""
     owners = grid_owners(layer)
     if not owners:
         raise TypeError(f"{type(layer).__name__} has no learned grid matrices")
@@ -146,6 +138,7 @@ def collapse_to_algebra(layer, algebra: Algebra):
             raise AlgebraMismatch(
                 f"layer has n={sub.n} but algebra {algebra.name} has n={algebra.n}"
             )
+    for sub in owners:
         for ai, mat in zip(sub.a, algebra_grid_matrices(algebra)):
             ai.data[...] = mat
             ai.requires_grad = False

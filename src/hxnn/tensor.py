@@ -9,25 +9,27 @@ views, float64 everywhere.
 """
 from __future__ import annotations
 
+from contextvars import ContextVar
+
 import numpy as np
 
 from .errors import ShapeError
 
-_GRAD_ENABLED = True
+# Per thread (and per asyncio task): one thread evaluating under
+# ``no_grad`` leaves another thread's graph recording on.
+_GRAD_ENABLED = ContextVar("hxnn_grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that suspends graph recording (evaluation mode)."""
+    """Context manager that suspends graph recording (evaluation mode)
+    in the current thread."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
@@ -52,36 +54,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    # convenience operators
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _node(data, parents, vjp):
     """Create a result tensor, recording the op only if gradients flow."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -257,20 +234,13 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two matrices, or of two stacks of them."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape}")
-        return _node(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-    if ad.ndim == 3 and bd.ndim == 3:
-        if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
-            raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape}")
-        return _node(
-            ad @ bd,
-            (a, b),
-            lambda g: (g @ bd.swapaxes(1, 2), ad.swapaxes(1, 2) @ g),
-        )
-    raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
+    if (ad.ndim not in (2, 3) or bd.ndim != ad.ndim
+            or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]):
+        raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape}")
+    return _node(ad @ bd, (a, b),
+                 lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
 
 
 def kron(a: Tensor, b: Tensor) -> Tensor:

@@ -177,6 +177,11 @@ def cross_entropy(logits: T.Tensor, labels) -> T.Tensor:
     b, c = logits.data.shape
     if labels.shape != (b,):
         raise ShapeError(f"cross_entropy: {b} logit rows but labels {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ShapeError(f"cross_entropy: labels must be integers, got {labels.dtype}")
+    if b and not 0 <= labels.min() <= labels.max() < c:
+        raise ShapeError(f"cross_entropy: labels {labels.min()}..{labels.max()} "
+                         f"are not all in [0, {c})")
     shift = np.broadcast_to(logits.data.max(axis=1, keepdims=True), (b, c)).copy()
     z = T.add(logits, T.Tensor(-shift))
     lse = T.log(T.sum_(T.exp(z), axis=1))
@@ -285,24 +290,12 @@ def translate_dataset(ds: Dataset, offset: float) -> Dataset:
 
 class Network(Layer):
     def __init__(self, layers):
-        self.layers = list(layers)
+        self.layers = self.sublayers = list(layers)
 
     def forward(self, x):
         for layer in self.layers:
             x = layer(x)
         return x
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def param_count(self):
-        frees, denses = 0, 0
-        for layer in self.layers:
-            if hasattr(layer, "param_count"):
-                f, d = layer.param_count()
-                frees += f
-                denses += d
-        return frees, denses
 
 
 class Flatten(Layer):
@@ -353,13 +346,19 @@ def _loss_fn(task):
     return cross_entropy if task == "classification" else mse
 
 
+def _infer(model, inputs, batch_size) -> np.ndarray:
+    """``model``'s outputs on ``inputs``, forwarded in batches of
+    ``batch_size`` rows without recording a graph."""
+    if len(inputs) == 0:
+        raise ShapeError("no input rows to run the model on")
+    with T.no_grad():
+        return np.concatenate([model(T.Tensor(inputs[start : start + batch_size])).data
+                               for start in range(0, len(inputs), batch_size)])
+
+
 def evaluate(model, inputs, targets, task, batch_size=256) -> float:
     """Test metric: accuracy for classification, MSE for regression."""
-    outs = []
-    with T.no_grad():
-        for start in range(0, len(inputs), batch_size):
-            outs.append(model(T.Tensor(inputs[start : start + batch_size])).data)
-    pred = np.concatenate(outs)
+    pred = _infer(model, inputs, batch_size)
     if task == "classification":
         return float(np.mean(pred.argmax(axis=1) == np.asarray(targets)))
     return float(np.mean((pred - targets) ** 2))
@@ -375,6 +374,8 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Metrics:
     xs, ys = dataset.train_inputs, dataset.train_targets
     if config.epochs and len(xs) == 0:
         raise ShapeError("the training split is empty")
+    if config.epochs and len(dataset.test_idx) == 0:
+        raise ShapeError("the test split is empty")
     for epoch in range(1, config.epochs + 1):
         total, count = 0.0, 0
         for idx in _batch_iter(len(xs), config.batch_size, rng):
@@ -531,12 +532,7 @@ class Forecaster:
         return targets
 
     def predict(self, windows):
-        feats = self.encode(windows)
-        outs = []
-        with T.no_grad():
-            for start in range(0, len(feats), 512):
-                outs.append(self.net(T.Tensor(feats[start : start + 512])).data)
-        pred = np.concatenate(outs)
+        pred = _infer(self.net, self.encode(windows), 512)
         if self.predict_delta:
             pred = pred + windows[:, -1, :]
         return pred
