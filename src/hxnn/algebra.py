@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, UnknownAlgebra
 
 DEFAULT_SEED = 0xC0FFEE
 SAMPLE_TOL = 1e-12
@@ -56,15 +56,23 @@ class Algebra:
         n = self.n
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
-        signs = np.asarray(self.signs, dtype=np.int8).reshape(n, n)
+        raw = np.asarray(self.signs).reshape(n, n)
+        odd = np.argwhere(~np.isin(raw, (-1, 0, 1)))
+        if len(odd):
+            i, j = odd[0]
+            raise ValueError(f"sign of e_{i} * e_{j} is {raw[i, j]}, expected -1, 0 or +1")
+        signs = raw.astype(np.int8)
         indices = np.asarray(self.indices, dtype=np.intp).reshape(n, n)
         if indices.min() < 0 or indices.max() >= n:
             raise ValueError("table index out of range")
-        for j in range(n):
-            if not (signs[0, j] == 1 and indices[0, j] == j):
-                raise ValueError("e_0 is not a left identity")
-            if not (signs[j, 0] == 1 and indices[j, 0] == j):
-                raise ValueError("e_0 is not a right identity")
+        # (n, 2): column 0 flags e_0 * e_j != e_j, column 1 e_j * e_0 != e_j;
+        # the first flag in j order names the side, as a scan over j would
+        basis = np.arange(n)
+        bad = np.stack([(signs[0] != 1) | (indices[0] != basis),
+                        (signs[:, 0] != 1) | (indices[:, 0] != basis)], axis=1)
+        if bad.any():
+            side = ("left", "right")[np.argmax(bad.ravel()) % 2]
+            raise ValueError(f"e_0 is not a {side} identity")
         signs.setflags(write=False)
         indices.setflags(write=False)
         object.__setattr__(self, "signs", signs)
@@ -152,10 +160,6 @@ class LeftMatrixPattern:
 # built-in algebras
 
 
-def _real() -> Algebra:
-    return Algebra("real", 1, np.array([[1]]), np.array([[0]]))
-
-
 def cayley_dickson_double(a: Algebra) -> Algebra:
     """Double an algebra with the convention (p,q)(r,s) = (pr - s̄q, sp + qr̄).
 
@@ -163,92 +167,55 @@ def cayley_dickson_double(a: Algebra) -> Algebra:
     imaginary basis unit squares to -1.
     """
     n = a.n
-    for i in range(1, n):
-        if not (a.signs[i, i] == -1 and a.indices[i, i] == 0):
-            raise ValueError(
-                f"{a.name} is not a Cayley-Dickson algebra (e_{i}^2 != -1)"
-            )
-    m = 2 * n
-    signs = np.zeros((m, m), dtype=np.int8)
-    indices = np.zeros((m, m), dtype=np.intp)
-
-    def conj_sign(j):
-        return 1 if j == 0 else -1
-
-    for i in range(m):
-        for j in range(m):
-            if i < n and j < n:
-                s, k = a.signs[i, j], a.indices[i, j]
-            elif i < n:
-                jj = j - n
-                s, k = a.signs[jj, i], a.indices[jj, i] + n
-            elif j < n:
-                ii = i - n
-                s = conj_sign(j) * a.signs[ii, j]
-                k = a.indices[ii, j] + n
-            else:
-                ii, jj = i - n, j - n
-                s = -conj_sign(jj) * a.signs[jj, ii]
-                k = a.indices[jj, ii]
-            signs[i, j] = s
-            indices[i, j] = k
-    return Algebra(f"double({a.name})", m, signs, indices)
+    off = np.flatnonzero((np.diagonal(a.signs)[1:] != -1) | (np.diagonal(a.indices)[1:] != 0))
+    if len(off):
+        raise ValueError(
+            f"{a.name} is not a Cayley-Dickson algebra (e_{off[0] + 1}^2 != -1)"
+        )
+    # four n x n quadrants; conj[j] is the sign that conjugation gives e_j
+    S, K = a.signs, a.indices
+    conj = np.where(np.arange(n) == 0, 1, -1).astype(np.int8)
+    signs = np.block([[S, S.T], [S * conj, -S.T * conj]])
+    indices = np.block([[K, K.T + n], [K + n, K.T]])
+    return Algebra(f"double({a.name})", 2 * n, signs, indices)
 
 
 def _tessarine() -> Algebra:
-    # commutative 4d system: e_1^2 = -1, e_2^2 = +1, e_3 = e_1 e_2
-    rules = {
-        (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (1, 1),
-        (3, 1): (-1, 2), (3, 2): (1, 1), (3, 3): (-1, 0),
-    }
-    signs = np.zeros((4, 4), dtype=np.int8)
-    indices = np.zeros((4, 4), dtype=np.intp)
-    for i in range(4):
-        signs[i, 0] = signs[0, i] = 1
-        indices[i, 0] = indices[0, i] = i
-    for (i, j), (s, k) in rules.items():
-        signs[i, j] = s
-        indices[i, j] = k
-    return Algebra("tessarine", 4, signs, indices)
+    # commutative 4d system: e_1^2 = -1, e_2^2 = +1, e_3 = e_1 e_2.  Bit 0 of
+    # a basis index counts e_1, bit 1 counts e_2, so e_i e_j = +-e_(i xor j)
+    # with a minus sign exactly when both carry e_1
+    i, j = np.indices((4, 4))
+    return Algebra("tessarine", 4, 1 - 2 * (i & j & 1), i ^ j)
 
 
 def _dual_quaternion() -> Algebra:
     # basis (1, i, j, k, eps, eps*i, eps*j, eps*k); eps is central, eps^2 = 0
     q = builtin("quaternion")
-    signs = np.zeros((8, 8), dtype=np.int8)
-    indices = np.zeros((8, 8), dtype=np.intp)
-    for i in range(8):
-        for j in range(8):
-            di, dj = i // 4, j // 4
-            if di + dj >= 2:
-                continue  # eps^2 = 0
-            qi, qj = i % 4, j % 4
-            signs[i, j] = q.signs[qi, qj]
-            indices[i, j] = q.indices[qi, qj] + 4 * (di + dj)
+    d = np.arange(8) // 4
+    eps = d[:, None] + d[None, :]   # power of eps in e_i e_j
+    live = eps < 2
+    signs = np.where(live, np.tile(q.signs, (2, 2)), 0)
+    indices = np.where(live, np.tile(q.indices, (2, 2)) + 4 * eps, 0)
     return Algebra("dual_quaternion", 8, signs, indices)
+
+
+#: built-ins reached by doubling, each from the one below it
+_DOUBLING_LADDER = {"complex": "real", "quaternion": "complex",
+                    "octonion": "quaternion", "sedenion": "octonion"}
+#: built-ins written out as tables
+_TABLES = {"real": lambda: Algebra("real", 1, np.array([[1]]), np.array([[0]])),
+           "tessarine": _tessarine, "dual_quaternion": _dual_quaternion}
 
 
 @lru_cache(maxsize=None)
 def builtin(name: str) -> Algebra:
     """Look up one of the built-in algebras by name."""
-    if name == "real":
-        return _real()
-    if name == "complex":
-        a = cayley_dickson_double(builtin("real"))
-    elif name == "quaternion":
-        a = cayley_dickson_double(builtin("complex"))
-    elif name == "octonion":
-        a = cayley_dickson_double(builtin("quaternion"))
-    elif name == "sedenion":
-        a = cayley_dickson_double(builtin("octonion"))
-    elif name == "tessarine":
-        return _tessarine()
-    elif name == "dual_quaternion":
-        return _dual_quaternion()
-    else:
-        raise NameError(f"unknown algebra: {name!r} (expected one of {BUILTIN_NAMES})")
-    return Algebra(name, a.n, a.signs, a.indices)
+    if name in _DOUBLING_LADDER:
+        a = cayley_dickson_double(builtin(_DOUBLING_LADDER[name]))
+        return Algebra(name, a.n, a.signs, a.indices)
+    if name in _TABLES:
+        return _TABLES[name]()
+    raise UnknownAlgebra(f"unknown algebra: {name!r} (expected one of {BUILTIN_NAMES})")
 
 
 # -----------------------------------------------------------------------------
@@ -284,20 +251,17 @@ def left_pattern(a: Algebra) -> LeftMatrixPattern:
     (r, c) is filled from the unique table entry e_i * e_c = s * e_r.
     """
     n = a.n
+    c, i = np.nonzero(a.signs.T)  # nonzero entries, column by column
+    r = a.indices[i, c]
+    cells = c * n + r  # a cell filled twice is a clash; report the first
+    _, first = np.unique(cells, return_index=True)
+    if len(first) < len(cells):
+        c0, r0 = divmod(int(cells[np.setdiff1d(np.arange(len(cells)), first)[0]]), n)
+        raise ValueError(f"{a.name}: column {c0} maps two weights onto row {r0}")
     signs = np.zeros((n, n), dtype=np.int8)
     widx = np.zeros((n, n), dtype=np.intp)
-    for c in range(n):
-        for i in range(n):
-            s = a.signs[i, c]
-            if s == 0:
-                continue
-            r = a.indices[i, c]
-            if signs[r, c] != 0:
-                raise ValueError(
-                    f"{a.name}: column {c} maps two weights onto row {r}"
-                )
-            signs[r, c] = s
-            widx[r, c] = i
+    signs[r, c] = a.signs[i, c]
+    widx[r, c] = i
     signs.setflags(write=False)
     widx.setflags(write=False)
     return LeftMatrixPattern(signs, widx)
@@ -308,11 +272,10 @@ def algebra_grid_matrices(algebra: Algebra) -> list[np.ndarray]:
     A_i[r, c] = sign(r, c) where the pattern's weight index is i."""
     p = left_pattern(algebra)
     n = algebra.n
-    mats = []
-    for i in range(n):
-        m = np.where((p.weight_indices == i) & (p.signs != 0), p.signs, 0)
-        mats.append(m.astype(np.float64))
-    return mats
+    grids = np.zeros((n, n, n))
+    r, c = np.nonzero(p.signs)
+    grids[p.weight_indices[r, c], r, c] = p.signs[r, c]
+    return list(grids)
 
 
 def left_matrix(a: Algebra, w: HNumber) -> np.ndarray:
@@ -352,11 +315,6 @@ def multiply_arrays(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # property verification
 
 
-def _basis_tuples(n, k):
-    """All n**k k-tuples of basis vectors, as k aligned (n**k, n) arrays."""
-    return list(np.eye(n)[np.indices((n,) * k).reshape(k, -1)])
-
-
 def _basis_and_pair_sums(n):
     """The n basis vectors, then e_i + e_j and e_i - e_j for each i < j."""
     eye = np.eye(n)
@@ -365,9 +323,38 @@ def _basis_and_pair_sums(n):
     return np.concatenate([eye, pairs])
 
 
+def _combinations(*row_sets):
+    """Every choice of one row from each set, as aligned arrays; the first
+    set varies slowest."""
+    picks = np.indices([len(rows) for rows in row_sets]).reshape(len(row_sets), -1)
+    return [rows[p] for rows, p in zip(row_sets, picks)]
+
+
 def _random_units(rng, count, n):
     v = rng.standard_normal((count, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _powers(m, x):
+    """x^3 and x^4 under every parenthesisation, each against the first."""
+    x2 = m(x, x)
+    x3a, x3b = m(x2, x), m(x, x2)
+    x4 = m(x3a, x)
+    return [(x3a, x3b)] + [(v, x4) for v in (m(x3b, x), m(x, x3a), m(x, x3b), m(x2, x2))]
+
+
+#: property -> (the row set each argument ranges over in the exact pass,
+#: the (lhs, rhs) pairs the law equates, given the product m).  A law that
+#: is quadratic in an argument takes it over two-term sums as well as the
+#: basis, so that polarised cases are decided exactly too.
+_LAWS = {
+    "commutative": ((np.eye, np.eye), lambda m, x, y: [(m(x, y), m(y, x))]),
+    "associative": ((np.eye,) * 3, lambda m, x, y, z: [(m(m(x, y), z), m(x, m(y, z)))]),
+    "alternative": ((_basis_and_pair_sums, np.eye),
+                    lambda m, x, y: [(m(m(x, x), y), m(x, m(x, y))),
+                                     (m(m(y, x), x), m(y, m(x, x)))]),
+    "power_associative": ((_basis_and_pair_sums,), _powers),
+}
 
 
 def check_property(
@@ -381,58 +368,19 @@ def check_property(
     """Brute-force verification of one multiplication property.
 
     Basis-level checks are exhaustive and exact (integer arithmetic in
-    float64); they are complemented by ``samples`` seeded random triples
+    float64); they are complemented by ``samples`` seeded random tuples
     compared to ``tol``.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
-    n = a.n
     rng = np.random.Generator(np.random.PCG64(seed))
+    row_sets, law = _LAWS[prop]
     mul = lambda x, y: multiply_arrays(a, x, y)
-
-    if prop == "commutative":
-        x, y = _basis_tuples(n, 2)
-        if not np.array_equal(mul(x, y), mul(y, x)):
-            return False
-        x, y = _random_units(rng, samples, n), _random_units(rng, samples, n)
-        return bool(np.max(np.abs(mul(x, y) - mul(y, x))) <= tol)
-
-    if prop == "associative":
-        x, y, z = _basis_tuples(n, 3)
-        if not np.array_equal(mul(mul(x, y), z), mul(x, mul(y, z))):
-            return False
-        x, y, z = (_random_units(rng, samples, n) for _ in range(3))
-        return bool(np.max(np.abs(mul(mul(x, y), z) - mul(x, mul(y, z)))) <= tol)
-
-    if prop == "alternative":
-        # quadratic in x, so basis elements alone do not decide it:
-        # include two-term sums to cover polarised cases exactly
-        xs, ys = _basis_and_pair_sums(n), np.eye(n)
-        X = np.repeat(xs, len(ys), axis=0)
-        Y = np.tile(ys, (len(xs), 1))
-        left_ok = np.max(np.abs(mul(mul(X, X), Y) - mul(X, mul(X, Y)))) == 0.0
-        right_ok = np.max(np.abs(mul(mul(Y, X), X) - mul(Y, mul(X, X)))) == 0.0
-        if not (left_ok and right_ok):
-            return False
-        x, y = _random_units(rng, samples, n), _random_units(rng, samples, n)
-        d1 = np.abs(mul(mul(x, x), y) - mul(x, mul(x, y)))
-        d2 = np.abs(mul(mul(y, x), x) - mul(y, mul(x, x)))
-        return bool(max(np.max(d1), np.max(d2)) <= tol)
-
-    # power_associative: all parenthesisations of x^3 and x^4 agree
-    def powers_agree(x, t):
-        x2 = mul(x, x)
-        x3a, x3b = mul(x2, x), mul(x, x2)
-        if np.max(np.abs(x3a - x3b)) > t:
-            return False
-        x4 = [mul(x3a, x), mul(x3b, x), mul(x, x3a), mul(x, x3b), mul(x2, x2)]
-        base = x4[0]
-        return all(np.max(np.abs(v - base)) <= t for v in x4[1:])
-
-    exact = _basis_and_pair_sums(n)
-    if not powers_agree(exact, 0.0):
+    exact = _combinations(*(rows(a.n) for rows in row_sets))
+    if not all(np.array_equal(lhs, rhs) for lhs, rhs in law(mul, *exact)):
         return False
-    return powers_agree(_random_units(rng, samples, n), tol)
+    drawn = [_random_units(rng, samples, a.n) for _ in row_sets]
+    return all(np.max(np.abs(lhs - rhs)) <= tol for lhs, rhs in law(mul, *drawn))
 
 
 def check_properties(a: Algebra, **kwargs) -> dict:
@@ -454,10 +402,8 @@ def find_zero_divisor(a: Algebra, budget: int = 100_000):
     cands = _basis_and_pair_sums(n)
     m = len(cands)
     prods = multiply_arrays(a, cands[:, None, :], cands[None, :, :])
-    zero = ~np.any(prods != 0.0, axis=2)
-    order = np.argwhere(zero)
-    for xi, yi in order:
-        if xi * m + yi >= budget:
-            break
-        return a.element(cands[xi]), a.element(cands[yi])
-    return None
+    hits = np.flatnonzero(np.all(prods == 0.0, axis=2))
+    if len(hits) == 0 or hits[0] >= budget:
+        return None
+    xi, yi = divmod(int(hits[0]), m)
+    return a.element(cands[xi]), a.element(cands[yi])

@@ -11,7 +11,6 @@ from . import config as cfgmod
 from . import experiments as ex
 from . import serialize
 from . import training as tr
-from .errors import ConfigError, FormatError
 
 
 def _write(out_dir: Path, name: str, text: str):
@@ -166,7 +165,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, NameError, ValueError) as exc:
+    except ValueError as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

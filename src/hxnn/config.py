@@ -158,7 +158,7 @@ def model_from(cfg: dict, feature_dim=None, target_dim=None) -> tr.Network:
     if kind == "mlp":
         if feature_dim is None or target_dim is None:
             raise ConfigError("mlp models need a dataset to size input/output")
-        hidden = _int_list(_get(cfg, "model", "hidden", "32"))
+        hidden = _get(cfg, "model", "hidden", [32], _int_list)
         dims = [feature_dim] + hidden
         layers = []
         for di, do in zip(dims[:-1], dims[1:]):

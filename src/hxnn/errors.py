@@ -25,6 +25,11 @@ class FormatError(ValueError):
     """A model file is malformed (bad magic, version, or truncation)."""
 
 
+class UnknownAlgebra(ValueError, NameError):
+    """No built-in algebra has the requested name.  It is also a NameError,
+    the type this lookup raised before it had its own."""
+
+
 class ConfigError(ValueError):
     """A config file failed to parse or validate."""
 

@@ -194,7 +194,7 @@ def load_model(path) -> tr.Network:
             layer = _rebuild(kind, _cfg_parse(cfg_text.decode("utf-8")))
         except KeyError as exc:
             raise FormatError(f"layer {index} ({kind}): missing config key {exc}") from exc
-        except (NameError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"layer {index} ({kind}): {exc}") from exc
         layers.append(layer)
         shapes.append(layer_shapes)

@@ -13,6 +13,7 @@ array geometry of :mod:`hxnn.geometry`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -462,11 +463,12 @@ def conv_weight_count(net: Network) -> int:
 def _component_major(vectors: np.ndarray) -> np.ndarray:
     """(N, count, dims) feature tensor -> (N, dims*count) laid out
     component-major, as the algebra-bound layers expect."""
-    return np.swapaxes(vectors, 1, 2).reshape(vectors.shape[0], -1)
+    count, dims = vectors.shape[1:]
+    return np.swapaxes(vectors, 1, 2).reshape(len(vectors), dims * count)
 
 
 def encode_windows_flat(windows: np.ndarray) -> np.ndarray:
-    return windows.reshape(windows.shape[0], -1)
+    return windows.reshape(len(windows), math.prod(windows.shape[1:]))
 
 
 def encode_windows_pure_quaternion(windows: np.ndarray) -> np.ndarray:

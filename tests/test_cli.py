@@ -192,6 +192,15 @@ def test_cli_unknown_algebra_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_lets_a_name_error_from_a_command_propagate(monkeypatch):
+    def broken(a):
+        raise NameError("name 'undefined' is not defined")
+
+    monkeypatch.setattr("hxnn.algebra.check_properties", broken)
+    with pytest.raises(NameError, match="undefined"):
+        main(["algebra", "check", "quaternion"])
+
+
 def test_cli_paramtable(capsys, tmp_path):
     assert main(["layers", "paramtable", "fc:64:64", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -71,3 +71,9 @@ def test_evaluate_on_zero_rows_raises_shape_error(task):
     net = tr.lorenz_forecaster("real", 0).net
     with pytest.raises(ShapeError, match="no input rows"):
         tr.evaluate(net, np.zeros((0, 24)), np.zeros((0, 3)), task)
+
+
+@pytest.mark.parametrize("kind", ["real", "quaternion", "phm", "dual_quaternion"])
+def test_predict_on_zero_windows_raises_shape_error(kind):
+    with pytest.raises(ShapeError, match="no input rows"):
+        tr.lorenz_forecaster(kind, 0).predict(np.zeros((0, 8, 3)))

@@ -77,6 +77,7 @@ def test_bad_constructor_arguments_in_a_file_raise_format_error(layer, old, new,
     {"kind": "mlp", "activation": "reLU"},
     {"kind": "mlp", "algebra": "phm", "activation": "Relu"},
     {"kind": "mlp", "hidden": "0"},
+    {"kind": "mlp", "hidden": "32,x"},
     {"kind": "convnet", "activation": "tanh"},
     {"kind": "convnet", "channels": "0"},
     {"kind": "convnet", "algebra": "phm", "n": "3", "channels": "0"},
