@@ -62,7 +62,12 @@ class Algebra:
             i, j = odd[0]
             raise ValueError(f"sign of e_{i} * e_{j} is {raw[i, j]}, expected -1, 0 or +1")
         signs = raw.astype(np.int8)
-        indices = np.asarray(self.indices, dtype=np.intp).reshape(n, n)
+        raw = np.asarray(self.indices).reshape(n, n)
+        odd = np.argwhere(~np.isfinite(raw) | (raw != np.round(raw)))
+        if len(odd):
+            i, j = odd[0]
+            raise ValueError(f"index of e_{i} * e_{j} is {raw[i, j]}, expected an integer")
+        indices = raw.astype(np.intp)
         if indices.min() < 0 or indices.max() >= n:
             raise ValueError("table index out of range")
         # (n, 2): column 0 flags e_0 * e_j != e_j, column 1 e_j * e_0 != e_j;
@@ -369,7 +374,7 @@ def check_property(
 
     Basis-level checks are exhaustive and exact (integer arithmetic in
     float64); they are complemented by ``samples`` seeded random tuples
-    compared to ``tol``.
+    compared to ``tol``.  With ``samples=0`` the exact pass decides.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
@@ -380,7 +385,7 @@ def check_property(
     if not all(np.array_equal(lhs, rhs) for lhs, rhs in law(mul, *exact)):
         return False
     drawn = [_random_units(rng, samples, a.n) for _ in row_sets]
-    return all(np.max(np.abs(lhs - rhs)) <= tol for lhs, rhs in law(mul, *drawn))
+    return all(np.max(np.abs(lhs - rhs), initial=0.0) <= tol for lhs, rhs in law(mul, *drawn))
 
 
 def check_properties(a: Algebra, **kwargs) -> dict:

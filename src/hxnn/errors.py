@@ -30,6 +30,10 @@ class UnknownAlgebra(ValueError, NameError):
     the type this lookup raised before it had its own."""
 
 
+class GraphFreed(ValueError):
+    """``backward`` reached a graph that an earlier ``backward`` freed."""
+
+
 class ConfigError(ValueError):
     """A config file failed to parse or validate."""
 

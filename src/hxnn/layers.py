@@ -20,12 +20,6 @@ from . import tensor as T
 from .algebra import Algebra, algebra_grid_matrices
 from .errors import ConfigError, DivisibilityError, ShapeError
 
-ACTIVATIONS = {
-    "relu": T.relu,
-    "sigmoid": T.sigmoid,
-    "none": lambda t: t,
-}
-
 
 def _check_divisible(value, n, what):
     if value < 1:
@@ -36,9 +30,9 @@ def _check_divisible(value, n, what):
 
 
 def _activation(name):
-    if name not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {name!r}: expected one of {sorted(ACTIVATIONS)}")
-    return ACTIVATIONS[name]
+    if name not in T.ACTIVATIONS:
+        raise ConfigError(f"unknown activation {name!r}: expected one of {sorted(T.ACTIVATIONS)}")
+    return name
 
 
 class Layer:
@@ -75,6 +69,15 @@ def _grid_tensors(algebra: Algebra) -> tuple:
     for m in mats:
         m.setflags(write=False)
     return tuple(T.Tensor(m) for m in mats)
+
+
+@lru_cache(maxsize=None)
+def _grid_stack(algebra: Algebra) -> np.ndarray:
+    """The algebra's grid matrices stacked as the read-only (n, n*n)
+    array ``T.kron_sum`` multiplies by, built once per algebra."""
+    stack = np.stack([t.data for t in _grid_tensors(algebra)]).reshape(algebra.n, -1)
+    stack.setflags(write=False)
+    return stack
 
 
 class KronLayer(Layer):
@@ -122,24 +125,11 @@ class KronLinear(KronLayer):
         d_blk = _check_divisible(d, len(a), "input features d")
         s_blk = _check_divisible(s, len(a), "output features s")
         self.d, self.s = d, s
-        self.activation, self._act = activation, _activation(activation)
+        self.activation = _activation(activation)
         super().__init__(a, (s_blk, d_blk), fan_in, s, bias, rng)
 
     def forward(self, x):
-        squeeze = False
-        if x.data.ndim == 3:  # (batch, tokens, features): fold tokens in
-            b, t, feats = x.data.shape
-            x = T.reshape(x, (b * t, feats))
-            squeeze = (b, t)
-        if x.data.ndim != 2 or x.data.shape[1] != self.d:
-            raise ShapeError(f"expected (batch, {self.d}), got {x.data.shape}")
-        y = T.matmul(x, T.transpose(self.weight()))
-        if self.bias is not None:
-            y = T.bias_add(y, self.bias)
-        y = self._act(y)
-        if squeeze:
-            y = T.reshape(y, (squeeze[0], squeeze[1], self.s))
-        return y
+        return T.linear(x, self.weight(), self.bias, self.activation)
 
 
 class KronConv2D(KronLayer):
@@ -157,7 +147,7 @@ class KronConv2D(KronLayer):
             raise ConfigError(f"padding={padding} must not be negative")
         self.in_channels, self.out_channels = in_channels, out_channels
         self.kernel, self.stride, self.padding = kernel, stride, padding
-        self.activation, self._act = activation, _activation(activation)
+        self.activation = _activation(activation)
         super().__init__(a, (co, ci, kernel, kernel), fan_in, out_channels, bias, rng)
 
     def forward(self, x):
@@ -168,9 +158,7 @@ class KronConv2D(KronLayer):
                 f"expected {self.in_channels} channels, got {x.data.shape[1]}"
             )
         y = T.conv2d(x, self.weight(), stride=self.stride, padding=self.padding)
-        if self.bias is not None:
-            y = T.bias_add(y, self.bias)
-        return self._act(y)
+        return T.bias_act(y, self.bias, self.activation)
 
 
 class HFCLayer(KronLinear):
@@ -184,7 +172,7 @@ class HFCLayer(KronLinear):
         self.blocks = self.f
 
     def assembled(self) -> T.Tensor:
-        return T.kron_sum(self.a, self.f)
+        return T.kron_sum(self.a, self.f, _grid_stack(self.algebra))
 
     def weight(self) -> T.Tensor:
         return self.assembled()
@@ -203,7 +191,7 @@ class HConv2DLayer(KronConv2D):
         self.blocks = self.f
 
     def assembled(self) -> T.Tensor:
-        return T.kron_sum(self.a, self.f)
+        return T.kron_sum(self.a, self.f, _grid_stack(self.algebra))
 
     def weight(self) -> T.Tensor:
         return self.assembled()
@@ -274,16 +262,15 @@ class KronGraph(Layer):
         self.inner = inner
         self.sublayers = (inner,)
         self.d, self.s = inner.d, inner.s
-        self.activation, self._act = activation, _activation(activation)
+        self.activation = _activation(activation)
 
     def forward_graph(self, graph: Graph, features: T.Tensor | None = None):
         h = features if features is not None else T.Tensor(graph.features)
         if h.data.shape[1] != self.d:
             raise ShapeError(f"expected (nodes, {self.d}), got {h.data.shape}")
-        mixed = T.matmul(h, T.transpose(self.inner.weight()))
+        mixed = T.linear(h, self.inner.weight(), None, "none")
         agg = T.matmul(T.Tensor(graph.normalized_adjacency), mixed)
-        agg = T.bias_add(agg, self.inner.bias)
-        return self._act(agg)
+        return T.bias_act(agg, self.inner.bias, self.activation)
 
     def forward(self, x):
         raise TypeError("graph layers are applied with forward_graph(graph)")

@@ -3,9 +3,19 @@
 Values are immutable once created; an operation records its parents and
 a vector-Jacobian closure, and ``backward`` replays the record in reverse
 topological order.  Gradients accumulate additively, so shared
-subexpressions are handled correctly.  Only what the layers in this
-package need is implemented: no broadcasting beyond bias addition, no
-views, float64 everywhere.
+subexpressions are handled correctly.  ``backward`` frees the graph it
+walks; walking it again raises ``GraphFreed``.  Only what the layers in
+this package need is implemented: no broadcasting beyond bias addition,
+no views, float64 everywhere.
+
+Every recorded node costs a Python closure, a slot in the topological
+sort and a dictionary entry, which on small layers outweighs the
+arithmetic.  So the chains every training step records are fused into
+one node each: ``linear`` (act(x W^T + b)), ``bias_act`` (act(x + b)
+after a conv or a graph aggregation) and, in ``training``, the MSE and
+log-softmax-NLL losses.  Each fused node performs the same numpy
+operations as the chain it replaces, in the same order, so its value and
+gradients are the same to the bit.
 """
 from __future__ import annotations
 
@@ -13,7 +23,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import GraphFreed, ShapeError
 
 # Per thread (and per asyncio task): one thread evaluating under
 # ``no_grad`` leaves another thread's graph recording on.
@@ -56,7 +66,8 @@ class Tensor:
 
 
 def _node(data, parents, vjp):
-    """Create a result tensor, recording the op only if gradients flow."""
+    """Create a result tensor, recording the op only if gradients flow.
+    The loss nodes in ``training`` are made here too."""
     out = Tensor(data)
     if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -65,10 +76,19 @@ def _node(data, parents, vjp):
     return out
 
 
+_FREED = object()  # the vjp slot of a node that ``backward`` has freed
+
+
 def backward(loss: Tensor):
     """Accumulate gradients of a scalar ``loss`` into every reachable
     tensor that requires grad.  Leaves that do not participate keep
-    ``grad is None`` (semantically zero)."""
+    ``grad is None`` (semantically zero).
+
+    Each op node is freed once its gradient has passed to its parents.
+    Reaching a freed node, from the same loss or a new one built on it,
+    raises ``GraphFreed`` before any gradient changes: the tensors behind
+    it would otherwise keep stale gradients.  A leaf may be the root of
+    any number of calls."""
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
 
@@ -81,6 +101,8 @@ def backward(loss: Tensor):
             continue
         if id(node) in seen or not node.requires_grad:
             continue
+        if node._vjp is _FREED:
+            raise GraphFreed("backward reached a graph that an earlier backward freed")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -103,7 +125,7 @@ def backward(loss: Tensor):
                 )
             key = id(parent)
             grads[key] = pg if key not in grads else grads[key] + pg
-        node._vjp = None
+        node._vjp = _FREED
         node._parents = ()
 
 
@@ -121,10 +143,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     return _node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
@@ -132,25 +150,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, alpha: float) -> Tensor:
     return _node(alpha * a.data, (a,), lambda g: (alpha * g,))
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-C vector along axis 1 of a 2-d or 4-d tensor."""
-    if b.data.ndim != 1 or x.data.ndim not in (2, 4) or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"bias_add: shapes {x.data.shape} and {b.data.shape}")
-    if x.data.ndim == 2:
-        out = x.data + b.data[None, :]
-        reduce_axes = (0,)
-    else:
-        out = x.data + b.data[None, :, None, None]
-        reduce_axes = (0, 2, 3)
-    return _node(out, (x, b), lambda g: (g, g.sum(axis=reduce_axes)))
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
-    return _node(a.data.T.copy(), (a,), lambda g: (g.T.copy(),))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
@@ -278,10 +277,12 @@ def blockwise_kron2d(a: Tensor, f: Tensor) -> Tensor:
     return _node(out, (a, f), vjp)
 
 
-def kron_sum(a_list, f_list) -> Tensor:
+def kron_sum(a_list, f_list, a_stack=None) -> Tensor:
     """Kronecker sum W = sum_i A_i (x) F_i of n grid matrices A_i (n, n)
     and n blocks F_i, either (p, q) -> (n*p, n*q) or conv filter banks
     (p, q, kh, kw) -> (n*p, n*q, kh, kw), expanded over the channel axes.
+    ``a_stack``, if given, holds the A_i already stacked as one (n, n*n)
+    array: constant algebra grids are stacked once per algebra.
 
     One GEMM with inner dimension n builds every block cell at once:
     cell (r, c) of W is sum_i A_i[r, c] F_i.  The vector-Jacobian product
@@ -293,13 +294,16 @@ def kron_sum(a_list, f_list) -> Tensor:
     block = f_list[0].data.shape if f_list else ()
     if (n == 0 or len(f_list) != n or len(block) not in (2, 4)
             or any(t.data.shape != (n, n) for t in a_list)
-            or any(t.data.shape != block for t in f_list)):
+            or any(t.data.shape != block for t in f_list)
+            or (a_stack is not None and a_stack.shape != (n, n * n))):
         raise ShapeError(
             f"kron_sum: grids {[t.data.shape for t in a_list]} "
             f"and blocks {[t.data.shape for t in f_list]}"
         )
     p, q, *k = block
-    a2 = np.stack([t.data for t in a_list]).reshape(n, n * n)  # [i, (r, c)]
+    a2 = a_stack  # [i, (r, c)]
+    if a2 is None:
+        a2 = np.stack([t.data for t in a_list]).reshape(n, n * n)
     f2 = np.stack([t.data for t in f_list]).reshape(n, -1)     # [i, (p, q, k...)]
     cells = (n, n, p, q, *k)
     perm = (0, 2, 1, 3, *range(4, len(cells)))  # (r, c, p, q) <-> (r, p, c, q)
@@ -410,18 +414,36 @@ def avg_pool2d(x: Tensor, window: int) -> Tensor:
 
 # -----------------------------------------------------------------------------
 # nonlinearities
+#
+# Each activation maps an array to its value and to the function that
+# carries a gradient back through it; ``bias_act`` and ``linear`` apply
+# them.
+
+
+def _relu(y):
+    mask = y > 0  # subgradient 0 at the kink
+    return y * mask, lambda g: g * mask
+
+
+def _sigmoid(y):
+    with np.errstate(over="ignore"):
+        s = np.where(y >= 0, 1.0 / (1.0 + np.exp(-y)), np.exp(y) / (1.0 + np.exp(y)))
+    return s, lambda g: g * s * (1.0 - s)
+
+
+def _identity(y):
+    return y, lambda g: g
+
+
+ACTIVATIONS = {"relu": _relu, "sigmoid": _sigmoid, "none": _identity}
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # subgradient 0 at the kink
-    return _node(a.data * mask, (a,), lambda g: (g * mask,))
+    return bias_act(a, None, "relu")
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
-                     np.exp(a.data) / (1.0 + np.exp(a.data)))
-    return _node(y, (a,), lambda g: (g * y * (1.0 - y),))
+    return bias_act(a, None, "sigmoid")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -442,6 +464,68 @@ def exp(a: Tensor) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+# -----------------------------------------------------------------------------
+# fused nodes: one node, and one vjp, for a chain every training step records
+
+
+def _biased(y, b):
+    """``y`` plus the length-C bias ``b`` along axis 1 of a 2-d or 4-d
+    ``y``, and the axes the bias gradient sums over (``y`` itself and
+    None when ``b`` is None)."""
+    if b is None:
+        return y, None
+    if b.data.ndim != 1 or y.ndim not in (2, 4) or y.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"bias: shapes {y.shape} and {b.data.shape}")
+    if y.ndim == 2:
+        return y + b.data[None, :], (0,)
+    return y + b.data[None, :, None, None], (0, 2, 3)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None, activation: str) -> Tensor:
+    """act(x W^T + b) for x of shape (batch, d) or (batch, tokens, d),
+    W of shape (s, d) and a length-s bias ``b`` or None; ``activation``
+    is a key of ``ACTIVATIONS``.  Tokens are folded into the batch.
+
+    The product runs against a contiguous copy of W^T, and the
+    vector-Jacobian product takes the GEMMs of the transpose, matmul,
+    bias and activation chain it replaces: gx = g (W^T)^T, computed only
+    if x requires grad, gW = (x^T g)^T and gb = the column sums of g.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim not in (2, 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[1]:
+        raise ShapeError(f"linear: shapes {xd.shape} and {wd.shape}")
+    x2 = xd if xd.ndim == 2 else xd.reshape(xd.shape[0] * xd.shape[1], xd.shape[2])
+    wt = wd.T.copy()
+    pre, axes = _biased(x2 @ wt, b)
+    y, back = ACTIVATIONS[activation](pre)
+
+    def vjp(g):
+        g = back(g.reshape(pre.shape))
+        gx = (g @ wt.T).reshape(xd.shape) if x.requires_grad else None
+        gw = (x2.T @ g).T.copy() if w.requires_grad else None
+        return (gx, gw) if b is None else (gx, gw, g.sum(axis=axes))
+
+    out = y if xd.ndim == 2 else y.reshape(*xd.shape[:2], wd.shape[0])
+    return _node(out, (x, w) if b is None else (x, w, b), vjp)
+
+
+def bias_act(x: Tensor, b: Tensor | None, activation: str) -> Tensor:
+    """act(x + b) with the length-C bias ``b`` added along axis 1 of a
+    2-d or 4-d ``x`` (the step after a conv or a graph aggregation), or
+    act(x) of any ``x`` when ``b`` is None.  ``activation`` is a key of
+    ``ACTIVATIONS``."""
+    if b is None and activation == "none":
+        return x
+    pre, axes = _biased(x.data, b)
+    y, back = ACTIVATIONS[activation](pre)
+
+    def vjp(g):
+        g = back(g)
+        return (g,) if b is None else (g, g.sum(axis=axes))
+
+    return _node(y, (x,) if b is None else (x, b), vjp)
 
 
 # -----------------------------------------------------------------------------

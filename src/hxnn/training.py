@@ -3,9 +3,11 @@
 Everything is seeded through explicit numpy Generators: the same config
 and seed reproduce the same trajectory bit for bit.
 
-The Adam state owns the parameter storage: ``adam_step``'s first call
-packs every parameter into one buffer and rebinds each ``p.data`` to its
-view, so later steps update all parameters in one pass.  ``train``
+``mse`` and ``cross_entropy`` are one graph node each (see
+:mod:`hxnn.tensor` for why the hot chains are fused).  The Adam state
+owns the parameter storage: ``adam_step``'s first call packs every
+parameter into one buffer and rebinds each ``p.data`` to its view, so
+later steps update all parameters in one pass.  ``train``
 raises ``TrainingDiverged`` when an epoch's mean loss is not finite.
 ``lorenz_trajectories`` integrates all trajectories as one state array,
 and the dual-quaternion encoder turns all windows at once through the
@@ -165,31 +167,59 @@ def zero_grads(params):
 
 
 def mse(pred: T.Tensor, target) -> T.Tensor:
+    """Mean squared error, one node.  It performs the numpy operations of
+    the chain mean((pred - target)^2) in the same order, so value and
+    gradients are the same to the bit; a target that requires grad gets
+    the negated prediction gradient."""
     tgt = target if isinstance(target, T.Tensor) else T.Tensor(target)
     if pred.data.shape != tgt.data.shape:
         raise ShapeError(f"mse: shapes {pred.data.shape} and {tgt.data.shape}")
-    diff = T.add(pred, T.neg(tgt))
-    return T.mean(T.mul(diff, diff))
+    if pred.data.size == 0:
+        raise ShapeError(f"mse: empty batch of shape {pred.data.shape}")
+    diff = pred.data + -tgt.data
+    axes = tuple(range(diff.ndim))
+    alpha = 1.0 / diff.size
+
+    def vjp(g):
+        half = (alpha * g) * diff
+        gpred = half + half
+        return gpred, -gpred
+
+    return T._node(alpha * (diff * diff).sum(axis=axes), (pred, tgt), vjp)
 
 
 def cross_entropy(logits: T.Tensor, labels) -> T.Tensor:
-    """Mean negative log-likelihood from a stable log-softmax."""
+    """Mean negative log-likelihood from a stable log-softmax, one node.
+    It performs the numpy operations of the chain it replaced (shift by
+    the row max, exp, row sum, log, one-hot pick, two means) in the same
+    order, so value and gradient are the same to the bit."""
     labels = np.asarray(labels)
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy: logits of shape {logits.data.shape}, "
+                         "want (batch, classes)")
     b, c = logits.data.shape
     if labels.shape != (b,):
         raise ShapeError(f"cross_entropy: {b} logit rows but labels {labels.shape}")
     if labels.dtype.kind not in "iu":
         raise ShapeError(f"cross_entropy: labels must be integers, got {labels.dtype}")
-    if b and not 0 <= labels.min() <= labels.max() < c:
+    if b == 0:
+        raise ShapeError("cross_entropy: empty batch")
+    if not 0 <= labels.min() <= labels.max() < c:
         raise ShapeError(f"cross_entropy: labels {labels.min()}..{labels.max()} "
                          f"are not all in [0, {c})")
-    shift = np.broadcast_to(logits.data.max(axis=1, keepdims=True), (b, c)).copy()
-    z = T.add(logits, T.Tensor(-shift))
-    lse = T.log(T.sum_(T.exp(z), axis=1))
+    z = logits.data + -logits.data.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1)
     onehot = np.zeros((b, c))
     onehot[np.arange(b), labels] = 1.0
-    picked = T.sum_(T.mul(z, T.Tensor(onehot)))
-    return T.add(T.mean(lse), T.scale(picked, -1.0 / b))
+    picked = (z * onehot).sum(axis=(0, 1))
+    loss = (1.0 / b) * np.log(total).sum(axis=(0,)) + (-1.0 / b) * picked
+
+    def vjp(g):
+        g_total = ((1.0 / b) * g) / total
+        return (g_total[:, None] * e + ((-1.0 / b) * g) * onehot,)
+
+    return T._node(loss, (logits,), vjp)
 
 
 # -----------------------------------------------------------------------------

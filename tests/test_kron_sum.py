@@ -44,7 +44,7 @@ def pattern_reference(algebra, blocks):
     zero = T.Tensor(np.zeros(blocks[0].data.shape))
     rows = []
     for signs, widx in zip(p.signs, p.weight_indices):
-        cells = [zero if s == 0 else blocks[i] if s == 1 else T.neg(blocks[i])
+        cells = [zero if s == 0 else blocks[i] if s == 1 else T.scale(blocks[i], -1.0)
                  for s, i in zip(signs, widx)]
         rows.append(T.concat(cells, axis=1))
     return T.concat(rows, axis=0)

@@ -179,13 +179,16 @@ def op_case(name, rng):
         return (3, 4), lambda p: T.mean(p)
     if name == "bias2d":
         x, c = _const(rng, (5, 4)), _const(rng, (5, 4))
-        return (4,), lambda p: T.sum_(T.mul(T.bias_add(x, p), c))
+        return (4,), lambda p: T.sum_(T.mul(T.bias_act(x, p, "none"), c))
     if name == "bias4d":
         x, c = _const(rng, (2, 3, 4, 4)), _const(rng, (2, 3, 4, 4))
-        return (3,), lambda p: T.sum_(T.mul(T.bias_add(x, p), c))
-    if name == "transpose":
-        c = _const(rng, (4, 3))
-        return (3, 4), lambda p: T.sum_(T.mul(T.transpose(p), c))
+        return (3,), lambda p: T.sum_(T.mul(T.bias_act(x, p, "sigmoid"), c))
+    if name == "linear_x":
+        w, b, c = _const(rng, (3, 4)), _const(rng, (3,)), _const(rng, (2, 5, 3))
+        return (2, 5, 4), lambda p: T.sum_(T.mul(T.linear(p, w, b, "sigmoid"), c))
+    if name == "linear_w":
+        x, c = _const(rng, (5, 4)), _const(rng, (5, 3))
+        return (3, 4), lambda p: T.sum_(T.mul(T.linear(x, p, None, "none"), c))
     if name == "avgpool":
         c = _const(rng, (1, 2, 2, 2))
         return (1, 2, 4, 4), lambda p: T.sum_(T.mul(T.avg_pool2d(p, 2), c))
@@ -198,7 +201,7 @@ def op_case(name, rng):
 
 OP_NAMES = [
     "matmul", "batch_matmul", "conv", "conv_w", "sigmoid", "softmax", "kron",
-    "blockkron", "concat", "narrow", "mean", "bias2d", "bias4d", "transpose",
+    "blockkron", "concat", "narrow", "mean", "bias2d", "bias4d", "linear_x", "linear_w",
     "avgpool", "exp", "log",
 ]
 
