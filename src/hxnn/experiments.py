@@ -13,6 +13,7 @@ from . import geometry as G
 from . import tensor as T
 from . import training as tr
 from .algebra import builtin
+from .errors import ConfigError
 from .layers import Graph, HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
 from .phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer, grid_owners
 
@@ -28,6 +29,12 @@ def to_csv(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+class _Epochs:  # base of the experiment configs: a run trains at least one epoch
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs={self.epochs}: an experiment trains at least one epoch")
 
 
 # -----------------------------------------------------------------------------
@@ -124,7 +131,7 @@ def gradcheck_all(seed=0xC0FFEE):
 
 
 @dataclass
-class BlobsConfig:
+class BlobsConfig(_Epochs):
     seed: int = 42
     samples_per_class: int = 600
     image_size: int = 16
@@ -191,7 +198,7 @@ def experiment_blobs(config: BlobsConfig = BlobsConfig()) -> BlobsReport:
 
 
 @dataclass
-class LorenzConfig:
+class LorenzConfig(_Epochs):
     seed: int = 0
     num_seeds: int = 5
     trajectories: int = 12

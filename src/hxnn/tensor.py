@@ -331,36 +331,32 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of an NCHW input with an OIkk filter bank,
     with symmetric zero padding.
 
-    The forward unfolds the input into per-sample (C*k*k, L) columns
-    (im2col, L = output pixels) and multiplies each by the (O, C*k*k)
-    filter matrix.  In the vector-Jacobian product the filter gradient is
-    one GEMM per sample, summed over the batch.  The input gradient, one
-    GEMM into columns folded back tap by tap (col2im), is computed only
-    if the input requires grad; a constant input (the images fed to a
-    network's first conv) gets ``None``.
+    The forward copies a strided window view of the zero-padded input
+    into per-sample (C*kh*kw, L) columns (im2col, L = output pixels) and
+    multiplies each by the (O, C*kh*kw) filter matrix; the filter
+    gradient is one GEMM per sample, summed over the batch.  The input
+    gradient (``None`` for a constant input, such as a network's images)
+    lays ``g`` channel-major onto the padded grid, cut into stride x
+    stride phases with the batch in the columns.  Tap (i, j) is one GEMM
+    and one contiguous shifted add into phase (i % s, j % s): each input
+    element sums im2col's products in its tap order, plus exact zeros.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: shapes {x.data.shape} and {w.data.shape}")
     n, c, h, wd = x.data.shape
     o, ci, kh, kw = w.data.shape
     if c != ci:
-        raise ShapeError(
-            f"conv2d: input channels {c} != filter input channels {ci}"
-        )
+        raise ShapeError(f"conv2d: input channels {c} != filter input channels {ci}")
     if stride < 1 or padding < 0:
-        raise ValueError(f"conv2d: bad stride {stride} or padding {padding}")
+        raise ShapeError(f"conv2d: bad stride {stride} or padding {padding}")
     hp, wp = h + 2 * padding, wd + 2 * padding
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     if ho < 1 or wo < 1:
-        raise ShapeError(
-            f"conv2d: kernel {(kh, kw)} too large for padded input {(hp, wp)}"
-        )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    cols2 = cols.reshape(n, c * kh * kw, ho * wo)
+        raise ShapeError(f"conv2d: kernel {(kh, kw)} too large for padded input {(hp, wp)}")
+    xp = np.zeros((n, c, hp, wp))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols2 = windows.transpose(0, 1, 4, 5, 2, 3).copy().reshape(n, c * kh * kw, ho * wo)
     wf = w.data.reshape(o, c * kh * kw)
     out = (wf @ cols2).reshape(n, o, ho, wo)
 
@@ -369,12 +365,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         gw = (g2 @ cols2.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
         if not x.requires_grad:
             return None, gw
-        gcols = (wf.T @ g2).reshape(n, c, kh, kw, ho, wo)
-        gxp = np.zeros((n, c, hp, wp))
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-        return gxp[:, :, padding : padding + h, padding : padding + wd].copy(), gw
+        hs, ws = -(-hp // stride), -(-wp // stride)
+        size = n * hs * ws
+        gp = np.zeros((o, size))
+        gp.reshape(o, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+        taps = w.data.transpose(2, 3, 0, 1).copy()  # (o, c) blocks used transposed, as wf.T was: same bits
+        phases = np.zeros((stride, stride, c, size))
+        for i, j in np.ndindex(kh, kw):
+            off = i // stride * ws + j // stride  # gp's last off columns hold no output pixel
+            phases[i % stride, j % stride, :, off:] += taps[i, j].T @ gp[:, : size - off]
+        grid = phases.reshape(stride, stride, c, n, hs, ws).transpose(3, 2, 4, 0, 5, 1)
+        grid = grid.reshape(n, c, stride * hs, stride * ws)
+        return grid[:, :, padding : padding + h, padding : padding + wd].copy(), gw
 
     return _node(out, (x, w), vjp)
 
@@ -502,7 +504,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None, activation: str) -> Tensor:
     y, back = ACTIVATIONS[activation](pre)
 
     def vjp(g):
-        g = back(g.reshape(pre.shape))
+        g = back(g.reshape(len(x2), wd.shape[0]))  # not pre.shape, which would keep pre alive
         gx = (g @ wt.T).reshape(xd.shape) if x.requires_grad else None
         gw = (x2.T @ g).T.copy() if w.requires_grad else None
         return (gx, gw) if b is None else (gx, gw, g.sum(axis=axes))

@@ -170,7 +170,7 @@ def mse(pred: T.Tensor, target) -> T.Tensor:
     """Mean squared error, one node.  It performs the numpy operations of
     the chain mean((pred - target)^2) in the same order, so value and
     gradients are the same to the bit; a target that requires grad gets
-    the negated prediction gradient."""
+    the negated prediction gradient, any other target None."""
     tgt = target if isinstance(target, T.Tensor) else T.Tensor(target)
     if pred.data.shape != tgt.data.shape:
         raise ShapeError(f"mse: shapes {pred.data.shape} and {tgt.data.shape}")
@@ -183,7 +183,7 @@ def mse(pred: T.Tensor, target) -> T.Tensor:
     def vjp(g):
         half = (alpha * g) * diff
         gpred = half + half
-        return gpred, -gpred
+        return gpred, (-gpred if tgt.requires_grad else None)
 
     return T._node(alpha * (diff * diff).sum(axis=axes), (pred, tgt), vjp)
 

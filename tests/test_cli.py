@@ -276,6 +276,22 @@ def test_cli_experiment_bad_value_exits_one(capsys, tmp_path):
     assert "epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["blobs", "lorenz"])
+def test_cli_experiment_with_zero_epochs_exits_one_before_running(name, capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[train]\nepochs = 0\n")
+    assert main(["experiment", name, str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "epochs=0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cls", [ex.BlobsConfig, ex.LorenzConfig])
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_experiment_configs_reject_fewer_than_one_epoch(cls, epochs):
+    with pytest.raises(ConfigError, match=f"epochs={epochs}"):
+        cls(epochs=epochs)
+
+
 def test_cli_experiment_blobs_reads_early_stop_train_loss(monkeypatch, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[train]\nearly_stop_train_loss = 0.5\n")

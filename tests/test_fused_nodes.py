@@ -10,6 +10,9 @@ the end cover the guards that came with the fused nodes: a second
 backward through a freed graph, empty loss batches, property checks
 with no random samples and non-integer algebra indices.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +240,31 @@ def test_a_target_that_requires_grad_gets_the_negated_mse_gradient():
     T.backward(tr.mse(pred, target))
     assert target.grad is not None
     assert np.array_equal(target.grad, -pred.grad)
+
+
+def test_a_constant_mse_target_gets_no_gradient_array():
+    pred = T.Tensor(gen(0).standard_normal((5, 3)), requires_grad=True)
+    loss = tr.mse(pred, gen(1).standard_normal((5, 3)))
+    gpred, gtarget = loss._vjp(np.ones(()))
+    assert gtarget is None and gpred.shape == (5, 3)
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+def test_the_linear_vjp_does_not_keep_the_pre_activation_alive(activation, monkeypatch):
+    """The closure needs only the shape of x W^T + b, not the array: it
+    must be freed once the forward returns, although the node lives on."""
+    seen = []
+
+    def spy(pre):
+        seen.append(weakref.ref(pre))
+        return T.ACTIVATIONS[activation](pre)
+
+    monkeypatch.setitem(T.ACTIVATIONS, "spy", spy)
+    x = T.Tensor(gen(0).standard_normal((6, 4)), requires_grad=True)
+    w = T.Tensor(gen(1).standard_normal((3, 4)), requires_grad=True)
+    y = T.linear(x, w, T.Tensor(np.zeros(3), requires_grad=True), "spy")
+    gc.collect()
+    assert y._vjp is not None and seen[0]() is None
 
 
 # -----------------------------------------------------------------------------
