@@ -11,6 +11,7 @@ from . import config as cfgmod
 from . import experiments as ex
 from . import serialize
 from . import training as tr
+from .errors import ConfigError
 
 
 def _write(out_dir: Path, name: str, text: str):
@@ -96,6 +97,10 @@ def cmd_experiment(args) -> int:
     name = args.experiment_cmd
     run, cls = {"lorenz": (ex.experiment_lorenz_equivariance, ex.LorenzConfig),
                 "blobs": (ex.experiment_blobs, ex.BlobsConfig)}[name]
+    unread = [f"[{section}] {key}" for section in cfg for key in cfg[section]
+              if f"{section}.{key}" not in EXPERIMENT_KEYS[cls].values()]
+    if unread:
+        raise ConfigError(f"experiment {name} does not read {', '.join(unread)}")
     report = run(cfgmod.dataclass_from(cls, cfg, EXPERIMENT_KEYS[cls], args.seed))
     print(report.summary, end="")
     _write(out, f"{name}.csv", report.csv)

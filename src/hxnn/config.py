@@ -8,8 +8,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .algebra import BUILTIN_NAMES, builtin
-from .layers import HConv2DLayer, HFCLayer
-from .phlayers import PHCLayer, PHMLayer
+from .phlayers import linear_layer
 from . import training as tr
 
 SECTIONS = ("model", "data", "train")
@@ -140,38 +139,24 @@ def dataset_from(cfg: dict) -> tr.Dataset:
 def model_from(cfg: dict, feature_dim=None, target_dim=None) -> tr.Network:
     kind = _get(cfg, "model", "kind")
     algebra_name = _get(cfg, "model", "algebra", "real")
-    seed = _get(cfg, "train", "seed", 0, int)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_get(cfg, "train", "seed", 0, int)))
     activation = _get(cfg, "model", "activation", "relu")
+    if algebra_name == "phm":
+        family = _get(cfg, "model", "n", 3 if kind == "convnet" else 2, int)
+    elif algebra_name in BUILTIN_NAMES:
+        family = builtin(algebra_name)
+    else:
+        raise ConfigError(f"unknown algebra {algebra_name!r}")
     if kind == "convnet":
-        channels = _get(cfg, "model", "channels", 24, int)
-        classes = _get(cfg, "model", "classes", 4, int)
-        if algebra_name == "phm":
-            n = _get(cfg, "model", "n", 3, int)
-            conv = lambda ci, co: PHCLayer(n, ci, co, 3, padding=1, activation=activation, rng=rng)
-        elif algebra_name in BUILTIN_NAMES:
-            a = builtin(algebra_name)
-            conv = lambda ci, co: HConv2DLayer(a, ci, co, 3, padding=1, activation=activation, rng=rng)
-        else:
-            raise ConfigError(f"unknown algebra {algebra_name!r}")
-        return tr.convnet(conv, channels, classes, rng)
+        return tr.convnet(family, _get(cfg, "model", "channels", 24, int),
+                          _get(cfg, "model", "classes", 4, int), activation, rng)
     if kind == "mlp":
         if feature_dim is None or target_dim is None:
             raise ConfigError("mlp models need a dataset to size input/output")
-        hidden = _get(cfg, "model", "hidden", [32], _int_list)
-        dims = [feature_dim] + hidden
-        layers = []
-        for di, do in zip(dims[:-1], dims[1:]):
-            if algebra_name == "phm":
-                n = _get(cfg, "model", "n", 2, int)
-                layers.append(PHMLayer(n, di, do, activation=activation, rng=rng))
-            elif algebra_name in BUILTIN_NAMES:
-                layers.append(HFCLayer(builtin(algebra_name), di, do,
-                                       activation=activation, rng=rng))
-            else:
-                raise ConfigError(f"unknown algebra {algebra_name!r}")
+        dims = [feature_dim] + _get(cfg, "model", "hidden", [32], _int_list)
+        layers = [linear_layer(family, di, do, activation, rng=rng)
+                  for di, do in zip(dims[:-1], dims[1:])]
         # real readout so the target width need not divide n
-        layers.append(HFCLayer(builtin("real"), dims[-1], target_dim,
-                               activation="none", rng=rng))
+        layers.append(linear_layer(builtin("real"), dims[-1], target_dim, "none", rng=rng))
         return tr.Network(layers)
     raise ConfigError(f"unknown model kind {kind!r}")

@@ -13,9 +13,10 @@ from . import geometry as G
 from . import tensor as T
 from . import training as tr
 from .algebra import builtin
-from .errors import ConfigError
+from .errors import ConfigError, DivisibilityError
 from .layers import Graph, HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
-from .phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer, grid_owners
+from .phlayers import (PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer, conv_layer, grid_owners,
+                       linear_layer)
 
 
 def _fmt(v):
@@ -50,29 +51,23 @@ def experiment_param_table(specs) -> list[tuple]:
     """
     rows = []
     for spec in specs:
-        parts = spec.split(":")
-        if parts[0] == "fc" and len(parts) == 3:
-            d, s = int(parts[1]), int(parts[2])
-            variants = [("real", 1, lambda n: HFCLayer(builtin("real"), d, s, bias=False)),
-                        ("complex", 2, lambda n: HFCLayer(builtin("complex"), d, s, bias=False)),
-                        ("quaternion", 4, lambda n: HFCLayer(builtin("quaternion"), d, s, bias=False)),
-                        ("octonion", 8, lambda n: HFCLayer(builtin("octonion"), d, s, bias=False))]
-            variants += [(f"phm_n{n}", n, (lambda n: lambda _: PHMLayer(n, d, s, bias=False))(n))
-                         for n in (2, 3, 4, 8)]
-            dims = (d, s)
-        elif parts[0] == "conv" and len(parts) == 4:
-            ci, co, k = int(parts[1]), int(parts[2]), int(parts[3])
-            variants = [("real", 1, lambda n: HConv2DLayer(builtin("real"), ci, co, k, bias=False)),
-                        ("quaternion", 4, lambda n: HConv2DLayer(builtin("quaternion"), ci, co, k, bias=False))]
-            variants += [(f"phc_n{n}", n, (lambda n: lambda _: PHCLayer(n, ci, co, k, bias=False))(n))
-                         for n in (2, 3, 4, 8)]
-            dims = (ci, co)
+        kind, *sizes = spec.split(":")
+        if len(sizes) != {"fc": 2, "conv": 3}.get(kind) or not all(v.isdecimal() for v in sizes):
+            raise ConfigError(f"bad layer spec {spec!r} (want fc:d:s or conv:in:out:k)")
+        sizes = [int(v) for v in sizes]
+        if kind == "fc":
+            names, prefix = ("real", "complex", "quaternion", "octonion"), "phm"
+            build = lambda family: linear_layer(family, *sizes, "none", bias=False)
         else:
-            raise ValueError(f"bad layer spec {spec!r} (want fc:d:s or conv:in:out:k)")
-        for name, n, build in variants:
-            if dims[0] % n or dims[1] % n:
+            names, prefix = ("real", "quaternion"), "phc"
+            build = lambda family: conv_layer(family, *sizes, 0, "none", bias=False)
+        variants = [(name, builtin(name)) for name in names]
+        variants += [(f"{prefix}_n{n}", n) for n in (2, 3, 4, 8)]
+        for name, family in variants:
+            try:
+                free, dense = build(family).param_count()
+            except DivisibilityError:
                 continue
-            free, dense = build(n).param_count()
             rows.append((spec, name, free, dense, free / dense))
     return rows
 

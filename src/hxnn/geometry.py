@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import builtin, multiply, multiply_arrays
+from .algebra import builtin, multiply_arrays
 from .errors import DegenerateAxis, NormalizationError
 
 UNIT_TOL = 1e-9
@@ -180,8 +180,7 @@ def dq_to_rt(dq: DualQuaternion, tol: float = UNIT_TOL) -> RigidTransform:
 
 def dq_multiply(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     """Compose via the 8-dimensional dual-quaternion structure table."""
-    alg = builtin("dual_quaternion")
-    prod = multiply(alg, alg.element(a.coeffs), alg.element(b.coeffs)).coeffs
+    prod = multiply_arrays(builtin("dual_quaternion"), a.coeffs, b.coeffs)
     return DualQuaternion(prod[:4], prod[4:])
 
 

@@ -7,6 +7,8 @@ the Kronecker-sum core in ``layers`` (``KronLinear``, ``KronConv2D``,
 grids.  Any integer n >= 1 is legal (in particular n = 3 for RGB
 inputs).  Freezing the A_i to a built-in algebra's grid matrices
 collapses the layer back to its algebra-bound counterpart exactly.
+``linear_layer`` and ``conv_layer`` pick the layer class for a family:
+an ``Algebra`` (algebra-bound) or an integer n (learned grids).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .algebra import Algebra, algebra_grid_matrices
 from .errors import AlgebraMismatch, ConfigError, DivisibilityError, ShapeError
-from .layers import KronConv2D, KronGraph, KronLinear, Layer
+from .layers import HConv2DLayer, HFCLayer, KronConv2D, KronGraph, KronLinear, Layer
 
 
 def _init_a(rng, n):
@@ -54,6 +56,21 @@ class PHCLayer(KronConv2D):
 
     def weight(self) -> T.Tensor:
         return T.kron_sum(self.a, self.f)
+
+
+def linear_layer(family, d, s, activation, bias=True, rng=None) -> KronLinear:
+    """A (d -> s) fully connected layer: ``HFCLayer`` over an ``Algebra``
+    family, ``PHMLayer`` over an integer n."""
+    cls = HFCLayer if isinstance(family, Algebra) else PHMLayer
+    return cls(family, d, s, activation, bias, rng)
+
+
+def conv_layer(family, in_channels, out_channels, kernel, padding, activation,
+               bias=True, rng=None) -> KronConv2D:
+    """A stride-1 convolution: ``HConv2DLayer`` over an ``Algebra``
+    family, ``PHCLayer`` over an integer n."""
+    cls = HConv2DLayer if isinstance(family, Algebra) else PHCLayer
+    return cls(family, in_channels, out_channels, kernel, 1, padding, activation, bias, rng)
 
 
 class PHAttBlock(Layer):

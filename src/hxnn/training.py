@@ -24,8 +24,8 @@ from . import geometry as G
 from . import tensor as T
 from .algebra import builtin
 from .errors import ConfigError, NormalizationError, ShapeError, TrainingDiverged
-from .layers import HConv2DLayer, HFCLayer, KronConv2D, Layer
-from .phlayers import PHCLayer, PHMLayer
+from .layers import HFCLayer, KronConv2D, Layer
+from .phlayers import conv_layer, linear_layer
 
 LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA = 10.0, 28.0, 8.0 / 3.0
 
@@ -452,9 +452,10 @@ def linear_probe_accuracy(dataset: Dataset, ridge=1e-3) -> float:
 # model builders
 
 
-def convnet(conv, channels, classes, rng) -> Network:
-    """Three conv stages + pooled real linear head on 3-channel images;
-    ``conv(ci, co)`` builds each conv stage."""
+def convnet(family, channels, classes, activation, rng) -> Network:
+    """Three 3x3 conv stages over ``family`` (see ``phlayers.conv_layer``)
+    + pooled real linear head on 3-channel images."""
+    conv = lambda ci, co: conv_layer(family, ci, co, 3, 1, activation, rng=rng)
     return Network([
         conv(3, channels),
         AvgPool(2),
@@ -467,18 +468,13 @@ def convnet(conv, channels, classes, rng) -> Network:
 
 
 def blobs_classifier(kind, seed, channels=24, classes=4):
-    """The ``convnet`` with 3x3 convs: ``kind`` is "phc" (n=3
-    parameterized convs) or "real" (dense convs of the same architecture).
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    real = builtin("real")
-    if kind == "phc":
-        conv = lambda ci, co: PHCLayer(3, ci, co, 3, padding=1, activation="relu", rng=rng)
-    elif kind == "real":
-        conv = lambda ci, co: HConv2DLayer(real, ci, co, 3, padding=1, activation="relu", rng=rng)
-    else:
-        raise ValueError(f"unknown classifier kind {kind!r}")
-    return convnet(conv, channels, classes, rng)
+    """The relu ``convnet``: ``kind`` is "phc" (n=3 parameterized convs)
+    or "real" (dense convs of the same architecture)."""
+    families = {"phc": 3, "real": builtin("real")}
+    if kind not in families:
+        raise ConfigError(f"unknown classifier kind {kind!r}")
+    return convnet(families[kind], channels, classes, "relu",
+                   np.random.Generator(np.random.PCG64(seed)))
 
 
 def conv_weight_count(net: Network) -> int:
@@ -570,6 +566,17 @@ class Forecaster:
         return pred
 
 
+# kind: (family, encoder, window steps it drops, components per step and
+# output width, hidden width, decoded (start, length) or None, predict_delta)
+LORENZ_FORECASTERS = {
+    "real": (builtin("real"), encode_windows_flat, 0, 3, 25, None, False),
+    "quaternion": (builtin("quaternion"), encode_windows_pure_quaternion, 0, 4, 72, (1, 3), False),
+    "phm": (4, encode_windows_pure_quaternion, 0, 4, 56, (1, 3), False),
+    "dual_quaternion": (builtin("dual_quaternion"), encode_windows_dual_quaternion, 1, 8, 80,
+                        (5, 3), True),
+}
+
+
 def lorenz_forecaster(kind, seed, window=8) -> Forecaster:
     """Matched-capacity forecasters (total free parameters within 10%).
 
@@ -579,36 +586,12 @@ def lorenz_forecaster(kind, seed, window=8) -> Forecaster:
     dual_quaternion: fixed dual-quaternion layers on per-step rigid
     motions, predicting the next displacement.
     """
+    if kind not in LORENZ_FORECASTERS:
+        raise ConfigError(f"unknown forecaster kind {kind!r}")
+    family, encode, dropped, width, hidden, decoded, delta = LORENZ_FORECASTERS[kind]
     rng = np.random.Generator(np.random.PCG64(seed))
-    if kind == "real":
-        r = builtin("real")
-        net = Network([
-            HFCLayer(r, window * 3, 25, activation="relu", rng=rng),
-            HFCLayer(r, 25, 3, activation="none", rng=rng),
-        ])
-        return Forecaster("real", net, encode_windows_flat)
-    if kind == "quaternion":
-        q = builtin("quaternion")
-        net = Network([
-            HFCLayer(q, window * 4, 72, activation="relu", rng=rng),
-            HFCLayer(q, 72, 4, activation="none", rng=rng),
-            Narrow(1, 3),
-        ])
-        return Forecaster("quaternion", net, encode_windows_pure_quaternion)
-    if kind == "phm":
-        net = Network([
-            PHMLayer(4, window * 4, 56, activation="relu", rng=rng),
-            PHMLayer(4, 56, 4, rng=rng),
-            Narrow(1, 3),
-        ])
-        return Forecaster("phm", net, encode_windows_pure_quaternion)
-    if kind == "dual_quaternion":
-        d = builtin("dual_quaternion")
-        net = Network([
-            HFCLayer(d, (window - 1) * 8, 80, activation="relu", rng=rng),
-            HFCLayer(d, 80, 8, activation="none", rng=rng),
-            Narrow(5, 3),
-        ])
-        return Forecaster("dual_quaternion", net, encode_windows_dual_quaternion,
-                          predict_delta=True)
-    raise ValueError(f"unknown forecaster kind {kind!r}")
+    layers = [linear_layer(family, (window - dropped) * width, hidden, "relu", rng=rng),
+              linear_layer(family, hidden, width, "none", rng=rng)]
+    if decoded:
+        layers.append(Narrow(*decoded))
+    return Forecaster(kind, Network(layers), encode, predict_delta=delta)

@@ -260,13 +260,36 @@ def test_cli_experiment_defaults_are_the_config_dataclasses(monkeypatch, tmp_pat
 
 
 def test_cli_experiment_config_file_and_seed_override(monkeypatch, tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("[model]\nchannels = 6\n[data]\nsize = 8\ncount = 3\noffsets = 2,4\n"
-                   "[train]\nseed = 3\nepochs = 2\nlr = 0.01\n")
-    assert experiment_configs(monkeypatch, tmp_path, ["blobs", str(cfg)]) == [
+    blobs, lorenz = tmp_path / "blobs.cfg", tmp_path / "lorenz.cfg"
+    blobs.write_text("[model]\nchannels = 6\n[data]\nsize = 8\n"
+                     "[train]\nseed = 3\nepochs = 2\nlr = 0.01\n")
+    lorenz.write_text("[data]\ncount = 3\noffsets = 2,4\n"
+                      "[train]\nseed = 3\nepochs = 2\nlr = 0.01\n")
+    assert experiment_configs(monkeypatch, tmp_path, ["blobs", str(blobs)]) == [
         ex.BlobsConfig(seed=3, image_size=8, channels=6, epochs=2, lr=0.01)]
-    assert experiment_configs(monkeypatch, tmp_path, ["lorenz", str(cfg), "--seed", "9"]) == [
+    assert experiment_configs(monkeypatch, tmp_path, ["lorenz", str(lorenz), "--seed", "9"]) == [
         ex.LorenzConfig(seed=9, trajectories=3, epochs=2, lr=0.01, offsets=(2.0, 4.0))]
+
+
+@pytest.mark.parametrize("name, section, key, value", [
+    ("lorenz", "train", "optimizer", "sgd"),
+    ("lorenz", "train", "early_stop_train_loss", "0.5"),
+    ("lorenz", "model", "kind", "mlp"),
+    ("lorenz", "model", "channels", "6"),
+    ("blobs", "data", "count", "3"),
+    ("blobs", "train", "optimizer", "adam"),
+])
+def test_cli_experiment_rejects_a_key_it_does_not_read(name, section, key, value, capsys,
+                                                       monkeypatch, tmp_path):
+    ran = []
+    monkeypatch.setattr(ex, "experiment_blobs", ran.append)
+    monkeypatch.setattr(ex, "experiment_lorenz_equivariance", ran.append)
+    cfg = tmp_path / "exp.cfg"
+    # a key the experiment reads, then the one it does not
+    cfg.write_text(f"[train]\nseed = 4\n[{section}]\n{key} = {value}\n")
+    assert main(["experiment", name, str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert ran == [] and not (tmp_path / "out").exists()
 
 
 def test_cli_experiment_bad_value_exits_one(capsys, tmp_path):
