@@ -401,12 +401,14 @@ def find_zero_divisor(a: Algebra, budget: int = 100_000):
     """Search for nonzero x, y with x * y = 0 among one- and two-term
     basis combinations.  Returns the first such pair or None.
 
-    ``budget`` caps the number of candidate pairs examined.
+    ``budget`` caps the number of candidate pairs examined: only the
+    first ceil(budget / m) of the m candidate rows are multiplied out.
     """
     n = a.n
     cands = _basis_and_pair_sums(n)
     m = len(cands)
-    prods = multiply_arrays(a, cands[:, None, :], cands[None, :, :])
+    rows = max(0, -(-budget // m))
+    prods = multiply_arrays(a, cands[:rows, None, :], cands[None, :, :])
     hits = np.flatnonzero(np.all(prods == 0.0, axis=2))
     if len(hits) == 0 or hits[0] >= budget:
         return None

@@ -11,7 +11,6 @@ from . import config as cfgmod
 from . import experiments as ex
 from . import serialize
 from . import training as tr
-from .errors import ConfigError
 
 
 def _write(out_dir: Path, name: str, text: str):
@@ -47,12 +46,11 @@ def cmd_paramtable(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    dataset = cfgmod.dataset_from(cfg)
-    tcfg = cfgmod.train_config_from(cfg, seed_override=args.seed)
+    make_dataset, tcfg, make_model = cfgmod.read_run(cfgmod.load_config(args.config), args.seed)
+    dataset = make_dataset()
     feature_dim = dataset.inputs.shape[1] if dataset.inputs.ndim == 2 else None
     target_dim = dataset.targets.shape[1] if dataset.targets.ndim == 2 else None
-    model = cfgmod.model_from(cfg, feature_dim=feature_dim, target_dim=target_dim)
+    model = make_model(feature_dim, target_dim)
     metrics = tr.train(model, dataset, tcfg)
     free, dense = model.param_count()
     print(f"free_params={free} dense_params={dense}")
@@ -68,9 +66,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = serialize.load_model(args.model)
-    cfg = cfgmod.load_config(args.config)
-    dataset = cfgmod.dataset_from(cfg)
-    tcfg = cfgmod.train_config_from(cfg)
+    make_dataset, tcfg, _ = cfgmod.read_run(cfgmod.load_config(args.config))
+    dataset = make_dataset()
     score = tr.evaluate(model, dataset.test_inputs, dataset.test_targets, tcfg.task)
     print(f"test_metric={score!r}")
     return 0
@@ -93,15 +90,13 @@ EXPERIMENT_KEYS = {
 
 def cmd_experiment(args) -> int:
     out = Path(args.out)
-    cfg = cfgmod.load_config(args.config) if args.config else {}
+    cfg = cfgmod.Reads(cfgmod.load_config(args.config) if args.config else {})
     name = args.experiment_cmd
     run, cls = {"lorenz": (ex.experiment_lorenz_equivariance, ex.LorenzConfig),
                 "blobs": (ex.experiment_blobs, ex.BlobsConfig)}[name]
-    unread = [f"[{section}] {key}" for section in cfg for key in cfg[section]
-              if f"{section}.{key}" not in EXPERIMENT_KEYS[cls].values()]
-    if unread:
-        raise ConfigError(f"experiment {name} does not read {', '.join(unread)}")
-    report = run(cfgmod.dataclass_from(cls, cfg, EXPERIMENT_KEYS[cls], args.seed))
+    exp_cfg = cfgmod.dataclass_from(cls, cfg, EXPERIMENT_KEYS[cls], args.seed)
+    cfg.reject_unread(f"experiment {name}")
+    report = run(exp_cfg)
     print(report.summary, end="")
     _write(out, f"{name}.csv", report.csv)
     _write(out, f"{name}_summary.txt", report.summary)

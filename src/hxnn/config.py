@@ -1,8 +1,16 @@
 """Plain-text experiment configs: ``key = value`` lines under [model],
-[data], [train] sections, '#' comments, and no silent typo tolerance."""
+[data], [train] sections, '#' comments, and no silent typo tolerance.
+
+A command reads its file through ``Reads``, which records every key the
+readers look up; a key that no reader looked up raises ``ConfigError``
+before anything is built.  The readers look keys up only where they use
+them (``n`` only for a learned-grid family, ``hidden`` only for an mlp,
+...), so that check needs no table of its own.
+"""
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 
@@ -67,8 +75,31 @@ def load_config(path) -> dict:
         return parse_config(fh.read())
 
 
+class Reads(dict):
+    """A parsed config that records each (section, key) its readers look up."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def reject_unread(self, reader: str):
+        """Raise ``ConfigError`` naming every file key no reader looked up."""
+        unread = [f"[{section}] {key}" for section in self for key in self[section]
+                  if (section, key) not in self.read]
+        if unread:
+            raise ConfigError(f"{reader} does not read {', '.join(unread)}")
+
+
+def _raw(cfg, section, key):
+    """The raw string of ``key`` in [section], or None; ``Reads`` records
+    the lookup."""
+    if isinstance(cfg, Reads):
+        cfg.read.add((section, key))
+    return cfg.get(section, {}).get(key)
+
+
 def _get(cfg, section, key, default=None, cast=str):
-    value = cfg.get(section, {}).get(key)
+    value = _raw(cfg, section, key)
     if value is None:
         if default is None:
             raise ConfigError(f"missing required key {key!r} in [{section}]")
@@ -92,7 +123,7 @@ def dataclass_from(cls, cfg: dict, keys: dict, seed=None):
     values = {}
     for name, path in keys.items():
         section, key = path.split(".")
-        raw = cfg.get(section, {}).get(key)
+        raw = _raw(cfg, section, key)
         if raw is None:
             continue
         default = defaults[name]
@@ -113,16 +144,20 @@ def train_config_from(cfg: dict, seed_override=None) -> tr.TrainConfig:
     return dataclass_from(tr.TrainConfig, cfg, keys, seed_override)
 
 
-def dataset_from(cfg: dict) -> tr.Dataset:
+def read_dataset(cfg: dict):
+    """Read the dataset keys of ``cfg``; returns the function that
+    generates the dataset."""
     kind = _get(cfg, "data", "dataset")
     if kind == "blobs":
-        return tr.make_rgb_blobs(
+        return partial(
+            tr.make_rgb_blobs,
             _get(cfg, "train", "seed", 0, int),
             samples_per_class=_get(cfg, "data", "samples_per_class", 600, int),
             size=_get(cfg, "data", "size", 16, int),
         )
     if kind == "lorenz":
-        ds = tr.lorenz_trajectories(
+        return partial(
+            _flat_lorenz,
             _get(cfg, "train", "seed", 0, int),
             count=_get(cfg, "data", "count", 12, int),
             steps=_get(cfg, "data", "steps", 1600, int),
@@ -130,16 +165,23 @@ def dataset_from(cfg: dict) -> tr.Dataset:
             sample_every=_get(cfg, "data", "sample_every", 10, int),
             window=_get(cfg, "data", "window", 8, int),
         )
-        # flat supervised view for generic training
-        flat = ds.inputs.reshape(len(ds.inputs), -1)
-        return tr.Dataset(flat, ds.targets, ds.train_idx, ds.test_idx)
     raise ConfigError(f"unknown dataset {kind!r}")
 
 
-def model_from(cfg: dict, feature_dim=None, target_dim=None) -> tr.Network:
+def _flat_lorenz(seed, **kwargs) -> tr.Dataset:
+    """Lorenz windows in the flat supervised view of generic training."""
+    ds = tr.lorenz_trajectories(seed, **kwargs)
+    flat = ds.inputs.reshape(len(ds.inputs), -1)
+    return tr.Dataset(flat, ds.targets, ds.train_idx, ds.test_idx)
+
+
+def read_model(cfg: dict):
+    """Read the model keys of ``cfg``; returns the function of
+    (feature_dim, target_dim) that builds the network."""
     kind = _get(cfg, "model", "kind")
     algebra_name = _get(cfg, "model", "algebra", "real")
-    rng = np.random.Generator(np.random.PCG64(_get(cfg, "train", "seed", 0, int)))
+    seed = _get(cfg, "train", "seed", 0, int)
+    rng = lambda: np.random.Generator(np.random.PCG64(seed))
     activation = _get(cfg, "model", "activation", "relu")
     if algebra_name == "phm":
         family = _get(cfg, "model", "n", 3 if kind == "convnet" else 2, int)
@@ -148,15 +190,37 @@ def model_from(cfg: dict, feature_dim=None, target_dim=None) -> tr.Network:
     else:
         raise ConfigError(f"unknown algebra {algebra_name!r}")
     if kind == "convnet":
-        return tr.convnet(family, _get(cfg, "model", "channels", 24, int),
-                          _get(cfg, "model", "classes", 4, int), activation, rng)
+        channels = _get(cfg, "model", "channels", 24, int)
+        classes = _get(cfg, "model", "classes", 4, int)
+        return lambda feature_dim, target_dim: tr.convnet(family, channels, classes,
+                                                          activation, rng())
     if kind == "mlp":
-        if feature_dim is None or target_dim is None:
-            raise ConfigError("mlp models need a dataset to size input/output")
-        dims = [feature_dim] + _get(cfg, "model", "hidden", [32], _int_list)
-        layers = [linear_layer(family, di, do, activation, rng=rng)
-                  for di, do in zip(dims[:-1], dims[1:])]
-        # real readout so the target width need not divide n
-        layers.append(linear_layer(builtin("real"), dims[-1], target_dim, "none", rng=rng))
-        return tr.Network(layers)
+        hidden = _get(cfg, "model", "hidden", [32], _int_list)
+
+        def mlp(feature_dim, target_dim):
+            if feature_dim is None or target_dim is None:
+                raise ConfigError("mlp models need a dataset to size input/output")
+            dims, r = [feature_dim] + hidden, rng()
+            layers = [linear_layer(family, di, do, activation, rng=r)
+                      for di, do in zip(dims[:-1], dims[1:])]
+            # real readout so the target width need not divide n
+            layers.append(linear_layer(builtin("real"), dims[-1], target_dim, "none", rng=r))
+            return tr.Network(layers)
+
+        return mlp
     raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def model_from(cfg: dict, feature_dim=None, target_dim=None) -> tr.Network:
+    return read_model(cfg)(feature_dim, target_dim)
+
+
+def read_run(cfg: dict, seed_override=None):
+    """Read the config of ``hxnn train`` and ``hxnn eval``: (dataset
+    maker, ``TrainConfig``, model builder).  Every key is read before
+    anything is built, and a key none of the three reads raises
+    ``ConfigError``, so one file serves both commands."""
+    reads = Reads(cfg)
+    run = read_dataset(reads), train_config_from(reads, seed_override), read_model(reads)
+    reads.reject_unread("train and eval")
+    return run

@@ -39,7 +39,13 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(ValueError):
-    """An epoch's mean training loss is not finite."""
+    """An epoch's mean training loss is not finite, or exceeds
+    ``training.DIVERGENCE_FACTOR`` (1000) times the first epoch's.  The
+    default Lorenz and blobs runs never rise above their first epoch's
+    loss, while a run that blows up without overflowing (SGD at a huge
+    learning rate) grows by many orders of magnitude per epoch.  After a
+    first epoch of zero loss, which only an exact fit gives and which its
+    zero gradients keep, any positive loss counts as divergence."""
 
     def __init__(self, epoch, loss):
         super().__init__(f"training diverged: epoch {epoch} mean training loss is {loss}")

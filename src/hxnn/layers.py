@@ -1,5 +1,6 @@
 """Kronecker-sum layers: W = sum_i A_i (x) F_i over n grid matrices
-A_i (n, n) and n weight blocks F_i, built by ``tensor.kron_sum``.
+A_i (n, n) and n weight blocks F_i, held as one (n, *block) tensor and
+built by ``tensor.kron_sum``.
 
 ``KronLayer`` holds that state; ``KronLinear``, ``KronConv2D`` and
 ``KronGraph`` are the one FC, conv and graph forward of both layer
@@ -62,28 +63,20 @@ class Layer:
 
 
 @lru_cache(maxsize=None)
-def _grid_tensors(algebra: Algebra) -> tuple:
-    """The algebra's grid matrices as constant read-only tensors, built
-    once per algebra and shared by every layer over it."""
-    mats = algebra_grid_matrices(algebra)
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(T.Tensor(m) for m in mats)
-
-
-@lru_cache(maxsize=None)
-def _grid_stack(algebra: Algebra) -> np.ndarray:
-    """The algebra's grid matrices stacked as the read-only (n, n*n)
-    array ``T.kron_sum`` multiplies by, built once per algebra."""
-    stack = np.stack([t.data for t in _grid_tensors(algebra)]).reshape(algebra.n, -1)
+def _algebra_grids(algebra: Algebra) -> tuple:
+    """The algebra's grid matrices as one read-only (n, n, n) array, the
+    stack ``T.kron_sum`` multiplies by, and its rows as constant tensors:
+    built once per algebra and shared by every layer over it."""
+    stack = np.stack(algebra_grid_matrices(algebra))
     stack.setflags(write=False)
-    return stack
+    return stack, tuple(T.Tensor(m) for m in stack)
 
 
 class KronLayer(Layer):
     """Grid matrices ``a``, weight blocks ``f`` and an optional bias of
-    ``out`` entries; the weight is W = sum_i a[i] (x) f[i].  The blocks
-    have shape ``block`` and are He-initialised over ``fan_in`` inputs.
+    ``out`` entries; the weight is W = sum_i a[i] (x) f[i].  ``f`` is one
+    (n, *block) tensor, whose n blocks are He-initialised over ``fan_in``
+    inputs and drawn in block order.
 
     A grid matrix is trained exactly when it requires grad: constant
     algebra grids and frozen learned grids do not.  Subclasses define
@@ -94,7 +87,7 @@ class KronLayer(Layer):
         rng = rng or np.random.default_rng(0)
         std = np.sqrt(2.0 / fan_in)
         self.a = list(a)
-        self.f = [T.Tensor(rng.standard_normal(block) * std, requires_grad=True) for _ in self.a]
+        self.f = T.Tensor(rng.standard_normal((len(self.a), *block)) * std, requires_grad=True)
         self.bias = T.Tensor(np.zeros(out), requires_grad=True) if bias else None
 
     @property
@@ -103,7 +96,7 @@ class KronLayer(Layer):
         return [not a.requires_grad for a in self.a]
 
     def parameters(self):
-        ps = [a for a in self.a if a.requires_grad] + self.f
+        ps = [a for a in self.a if a.requires_grad] + [self.f]
         if self.bias is not None:
             ps.append(self.bias)
         return ps
@@ -111,9 +104,8 @@ class KronLayer(Layer):
     def param_count(self):
         """(free, dense): the entries of ``parameters()``, and those of
         the dense weight W plus the bias."""
-        n, block = len(self.f), self.f[0].data.size
         nb = self.bias.data.size if self.bias is not None else 0
-        return sum(p.data.size for p in self.parameters()), n * n * block + nb
+        return sum(p.data.size for p in self.parameters()), len(self.a) * self.f.data.size + nb
 
 
 class KronLinear(KronLayer):
@@ -164,15 +156,14 @@ class KronConv2D(KronLayer):
 class HFCLayer(KronLinear):
     """Fully connected layer over a fixed algebra: y = act(W x + b)
     with W the Kronecker sum of the algebra's grid matrices and the
-    (s/n, d/n) weight blocks ``blocks``."""
+    (s/n, d/n) weight blocks ``f``."""
 
     def __init__(self, algebra: Algebra, d, s, activation="relu", bias=True, rng=None):
         self.algebra = algebra
-        super().__init__(_grid_tensors(algebra), d, s, activation, bias, rng, fan_in=d)
-        self.blocks = self.f
+        super().__init__(_algebra_grids(algebra)[1], d, s, activation, bias, rng, fan_in=d)
 
     def assembled(self) -> T.Tensor:
-        return T.kron_sum(self.a, self.f, _grid_stack(self.algebra))
+        return T.kron_sum(self.a, self.f, _algebra_grids(self.algebra)[0])
 
     def weight(self) -> T.Tensor:
         return self.assembled()
@@ -180,18 +171,17 @@ class HFCLayer(KronLinear):
 
 class HConv2DLayer(KronConv2D):
     """2-d convolution whose filter bank is the Kronecker sum of the
-    algebra's grid matrices and the (out/n, in/n, k, k) ``blocks``."""
+    algebra's grid matrices and the (out/n, in/n, k, k) blocks ``f``."""
 
     def __init__(self, algebra: Algebra, in_channels, out_channels, kernel,
                  stride=1, padding=0, activation="relu", bias=True, rng=None):
         self.algebra = algebra
-        super().__init__(_grid_tensors(algebra), in_channels, out_channels, kernel,
+        super().__init__(_algebra_grids(algebra)[1], in_channels, out_channels, kernel,
                          stride, padding, activation, bias, rng,
                          fan_in=in_channels * kernel * kernel)
-        self.blocks = self.f
 
     def assembled(self) -> T.Tensor:
-        return T.kron_sum(self.a, self.f, _grid_stack(self.algebra))
+        return T.kron_sum(self.a, self.f, _algebra_grids(self.algebra)[0])
 
     def weight(self) -> T.Tensor:
         return self.assembled()

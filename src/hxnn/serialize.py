@@ -7,10 +7,11 @@ import struct
 
 import numpy as np
 
+from . import tensor as T
 from . import training as tr
 from .algebra import builtin
 from .errors import FormatError
-from .layers import HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
+from .layers import HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer, KronLayer
 from .phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer, grid_owners
 
 MAGIC = b"HXNN"
@@ -64,9 +65,19 @@ _DECODE = {"algebra": builtin, "bias": lambda v: bool(int(v)),
 _OWNER_NAMES = ("q", "k", "v", "out")
 
 
+def _stored(layer):
+    """The tensors the file stores for ``layer``, in order: per Kronecker
+    layer its grid matrices, frozen or not, if it learns them, then each
+    weight block as a view of ``f``, then the bias."""
+    if not isinstance(layer, KronLayer):
+        return [p for sub in layer.sublayers for p in _stored(sub)]
+    grids = layer.a if isinstance(layer, (PHMLayer, PHCLayer)) else []
+    bias = [layer.bias] if layer.bias is not None else []
+    return [*grids, *map(T.Tensor, layer.f.data), *bias]
+
+
 def _describe(layer):
-    """(kind, cfg dict, ordered param tensors) of one layer: every grid
-    matrix, frozen or not, is stored."""
+    """(kind, cfg dict, ordered stored tensors) of one layer."""
     kind = next((k for k, (cls, _) in KINDS.items() if isinstance(layer, cls)), None)
     if kind is None:
         raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
@@ -75,13 +86,12 @@ def _describe(layer):
         value = getattr(layer, _ATTRS.get(key, key))
         cfg[key] = _ENCODE[key](value) if key in _ENCODE else value
     owners = grid_owners(layer)
-    if not owners:
-        return kind, cfg, layer.parameters()
-    cfg["frozen"] = _bool_list(owners[0].a_frozen)
+    if owners:
+        cfg["frozen"] = _bool_list(owners[0].a_frozen)
     for name, sub in zip(_OWNER_NAMES, owners):
         if sub.a_frozen != owners[0].a_frozen:
             cfg[f"frozen_{name}"] = _bool_list(sub.a_frozen)
-    return kind, cfg, [p for sub in owners for p in sub.a + sub.f + [sub.bias] if p is not None]
+    return kind, cfg, _stored(layer)
 
 
 def _apply_frozen(layer, cfg, key):

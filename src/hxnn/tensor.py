@@ -277,34 +277,31 @@ def blockwise_kron2d(a: Tensor, f: Tensor) -> Tensor:
     return _node(out, (a, f), vjp)
 
 
-def kron_sum(a_list, f_list, a_stack=None) -> Tensor:
+def kron_sum(a_list, f, a_stack=None) -> Tensor:
     """Kronecker sum W = sum_i A_i (x) F_i of n grid matrices A_i (n, n)
-    and n blocks F_i, either (p, q) -> (n*p, n*q) or conv filter banks
-    (p, q, kh, kw) -> (n*p, n*q, kh, kw), expanded over the channel axes.
-    ``a_stack``, if given, holds the A_i already stacked as one (n, n*n)
-    array: constant algebra grids are stacked once per algebra.
+    and the n blocks F_i = f[i] of one (n, *block) tensor ``f``, either
+    (p, q) -> (n*p, n*q) or conv filter banks (p, q, kh, kw) ->
+    (n*p, n*q, kh, kw), expanded over the channel axes.  ``a_stack``, if
+    given, holds the A_i already stacked as one (n, n, n) array: constant
+    algebra grids are stacked once per algebra.
 
     One GEMM with inner dimension n builds every block cell at once:
     cell (r, c) of W is sum_i A_i[r, c] F_i.  The vector-Jacobian product
-    is one GEMM for the F_i, plus one for the A_i only when one of them
-    requires grad (constant algebra grids never do).
+    is one GEMM for ``f``, plus one for the A_i only when one of them
+    requires grad (constant algebra grids never do); only then are the
+    grids parents of the node, which otherwise has ``f`` alone.
     """
-    a_list, f_list = tuple(a_list), tuple(f_list)
+    a_list = tuple(a_list)
     n = len(a_list)
-    block = f_list[0].data.shape if f_list else ()
-    if (n == 0 or len(f_list) != n or len(block) not in (2, 4)
+    if (n == 0 or f.data.ndim not in (3, 5) or f.data.shape[0] != n
             or any(t.data.shape != (n, n) for t in a_list)
-            or any(t.data.shape != block for t in f_list)
-            or (a_stack is not None and a_stack.shape != (n, n * n))):
+            or (a_stack is not None and a_stack.shape != (n, n, n))):
         raise ShapeError(
-            f"kron_sum: grids {[t.data.shape for t in a_list]} "
-            f"and blocks {[t.data.shape for t in f_list]}"
+            f"kron_sum: grids {[t.data.shape for t in a_list]} and blocks {f.data.shape}"
         )
-    p, q, *k = block
-    a2 = a_stack  # [i, (r, c)]
-    if a2 is None:
-        a2 = np.stack([t.data for t in a_list]).reshape(n, n * n)
-    f2 = np.stack([t.data for t in f_list]).reshape(n, -1)     # [i, (p, q, k...)]
+    p, q, *k = f.data.shape[1:]
+    a2 = (np.stack([t.data for t in a_list]) if a_stack is None else a_stack).reshape(n, n * n)
+    f2 = f.data.reshape(n, -1)  # [i, (p, q, k...)]
     cells = (n, n, p, q, *k)
     perm = (0, 2, 1, 3, *range(4, len(cells)))  # (r, c, p, q) <-> (r, p, c, q)
     out = (a2.T @ f2).reshape(cells).transpose(perm).reshape(n * p, n * q, *k)
@@ -316,11 +313,10 @@ def kron_sum(a_list, f_list, a_stack=None) -> Tensor:
         # in row-major order (blocks of one entry excepted, which take its
         # vector path), so an algebra-bound layer's block gradients equal,
         # bit for bit, the sum of its +-G cells taken one by one.
-        gf = (g2.T @ a2.T).T.reshape(n, *block)
-        ga = (f2 @ g2.T).reshape(n, n, n) if learn_a else (None,) * n
-        return (*ga, *gf)
+        gf = (g2.T @ a2.T).T.reshape(f.data.shape)
+        return (*(f2 @ g2.T).reshape(n, n, n), gf) if learn_a else (gf,)
 
-    return _node(out, a_list + f_list, vjp)
+    return _node(out, a_list + (f,) if learn_a else (f,), vjp)
 
 
 # -----------------------------------------------------------------------------

@@ -8,7 +8,8 @@ and seed reproduce the same trajectory bit for bit.
 owns the parameter storage: ``adam_step``'s first call packs every
 parameter into one buffer and rebinds each ``p.data`` to its view, so
 later steps update all parameters in one pass.  ``train``
-raises ``TrainingDiverged`` when an epoch's mean loss is not finite.
+raises ``TrainingDiverged`` when an epoch's mean loss is not finite or
+exceeds ``DIVERGENCE_FACTOR`` times the first epoch's.
 ``lorenz_trajectories`` integrates all trajectories as one state array,
 and the dual-quaternion encoder turns all windows at once through the
 array geometry of :mod:`hxnn.geometry`.
@@ -28,6 +29,9 @@ from .layers import HFCLayer, KronConv2D, Layer
 from .phlayers import conv_layer, linear_layer
 
 LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA = 10.0, 28.0, 8.0 / 3.0
+
+# Mean epoch loss above this multiple of the first epoch's: diverged.
+DIVERGENCE_FACTOR = 1e3
 
 
 # -----------------------------------------------------------------------------
@@ -423,8 +427,9 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Metrics:
             total += loss.item() * len(idx)
             count += len(idx)
         metrics.losses.append(total / count)
-        if not np.isfinite(metrics.losses[-1]):
-            raise TrainingDiverged(epoch, metrics.losses[-1])
+        mean = metrics.losses[-1]
+        if not np.isfinite(mean) or mean > DIVERGENCE_FACTOR * metrics.losses[0]:
+            raise TrainingDiverged(epoch, mean)
         metrics.scores.append(
             evaluate(model, dataset.test_inputs, dataset.test_targets, config.task)
         )

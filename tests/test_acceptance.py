@@ -109,8 +109,8 @@ def test_criterion_4_collapse_equivalence(name, n):
                      rng=np.random.Generator(np.random.PCG64(n)))
     phm = P.PHMLayer(n, d, s, rng=np.random.Generator(np.random.PCG64(n + 1)))
     P.collapse_to_algebra(phm, a)
-    for fi, bi in zip(phm.f, hfc.blocks):
-        fi.data[...] = bi.data
+    for fi, bi in zip(phm.f.data, hfc.f.data):
+        fi[...] = bi
     phm.bias.data[...] = hfc.bias.data
     x = T.Tensor(rng.standard_normal((1000, d)))
     diff = float(np.max(np.abs(phm(x).data - hfc(x).data)))

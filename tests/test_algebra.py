@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,19 @@ def test_zero_divisors_by_algebra():
 
 def test_zero_divisor_budget_zero_finds_nothing():
     assert alg.find_zero_divisor(alg.builtin("sedenion"), budget=0) is None
+
+
+def test_zero_divisor_search_multiplies_only_the_rows_its_budget_reaches():
+    s = alg.builtin("sedenion")
+    m = 256  # 16 basis vectors and 240 signed pair sums
+    alg.find_zero_divisor(s, budget=1)  # build the algebra's tables first
+    tracemalloc.start()
+    try:
+        alg.find_zero_divisor(s, budget=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak  # all m * m products: about 9 MB
 
 
 def test_table_lines_format():

@@ -222,6 +222,58 @@ def test_cli_train_eval_roundtrip(capsys, tmp_path):
     assert f"test_metric={final_metric}" in eval_out
 
 
+LORENZ_MLP_CFG = """
+[model]
+kind = mlp
+algebra = quaternion
+hidden = 8
+[data]
+dataset = lorenz
+count = 4
+steps = 400
+[train]
+epochs = 1
+"""
+
+
+UNREAD_KEYS = [  # (config, edit from, edit to, the key no reader reads)
+    (BLOBS_CFG, "[model]\n", "[model]\nhidden = 8\n", "[model] hidden"),
+    (BLOBS_CFG, "[train]\n", "[train]\nnum_seeds = 5\n", "[train] num_seeds"),
+    (BLOBS_CFG, "algebra = phm\n", "algebra = real\n", "[model] n"),
+    (BLOBS_CFG, "[data]\n", "[data]\noffsets = 1,2\n", "[data] offsets"),
+    (BLOBS_CFG, "[data]\n", "[data]\ncount = 3\n", "[data] count"),
+    (LORENZ_MLP_CFG, "[model]\n", "[model]\nchannels = 6\n", "[model] channels"),
+    (LORENZ_MLP_CFG, "[data]\n", "[data]\nsize = 8\n", "[data] size"),
+]
+
+
+@pytest.mark.parametrize("text, old, new, key", UNREAD_KEYS, ids=[c[3] for c in UNREAD_KEYS])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_train_and_eval_reject_a_key_they_do_not_read(text, old, new, key, command,
+                                                          capsys, monkeypatch, tmp_path):
+    generated = []
+    monkeypatch.setattr(tr, "make_rgb_blobs", lambda *a, **k: generated.append(a))
+    monkeypatch.setattr(tr, "lorenz_trajectories", lambda *a, **k: generated.append(a))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace(old, new, 1))
+    model = tmp_path / "model.hxnn"
+    S.save_model(tr.Network([HFCLayer(builtin("real"), 2, 2)]), model)
+    argv = ["train", str(cfg), "--out", str(tmp_path / "out")] if command == "train" else \
+        ["eval", str(model), str(cfg)]
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert generated == [] and not (tmp_path / "out").exists()
+
+
+def test_cli_train_and_eval_share_a_lorenz_mlp_config(capsys, tmp_path):
+    cfg = tmp_path / "lorenz.cfg"
+    cfg.write_text(LORENZ_MLP_CFG)
+    assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    metric = capsys.readouterr().out.strip().splitlines()[-2].split("test_metric=")[1]
+    assert main(["eval", str(tmp_path / "out" / "model.hxnn"), str(cfg)]) == 0
+    assert capsys.readouterr().out == f"test_metric={metric}\n"
+
+
 def test_cli_train_bad_config_exits_one(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[train]\nepochz = 1\n")

@@ -334,12 +334,12 @@ def test_graph_layers_match_the_chains_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("name", alg.BUILTIN_NAMES)
 def test_the_grid_stack_is_built_once_per_algebra_and_read_only(name):
     a = alg.builtin(name)
-    stack = L._grid_stack(a)
-    assert stack is L._grid_stack(a)
-    assert stack.tobytes() == np.stack([g.data for g in L._grid_tensors(a)]).tobytes()
-    assert stack.shape == (a.n, a.n * a.n)
+    stack, grids = L._algebra_grids(a)
+    assert stack is L._algebra_grids(a)[0]
+    assert stack.tobytes() == np.stack([g.data for g in grids]).tobytes()
+    assert stack.shape == (a.n, a.n, a.n)
     with pytest.raises(ValueError):
-        stack[0, 0] = 2.0
+        stack[0, 0, 0] = 2.0
 
 
 def graph_nodes(out):

@@ -50,8 +50,14 @@ def pattern_reference(algebra, blocks):
     return T.concat(rows, axis=0)
 
 
+def leaves(f):
+    """Per-block leaf copies of an (n, *block) tensor, for the oracles."""
+    return [T.Tensor(b.copy(), requires_grad=f.requires_grad) for b in f.data]
+
+
 def draw_terms(n, block, seed, integer_grids):
-    """n grid matrices and n blocks.  Integer grids take entries in
+    """n grid matrices and one (n, *block) tensor of blocks, drawn block
+    after block.  Integer grids take entries in
     {-1, 0, 1}, the values of layer init and of every built-in algebra;
     with them every product is exact, so equal sums mean equal order."""
     r = gen(seed)
@@ -60,7 +66,7 @@ def draw_terms(n, block, seed, integer_grids):
     else:
         grids = [r.standard_normal((n, n)) for _ in range(n)]
     a = [T.Tensor(g, requires_grad=True) for g in grids]
-    f = [T.Tensor(r.standard_normal(block), requires_grad=True) for _ in range(n)]
+    f = T.Tensor(r.standard_normal((n, *block)), requires_grad=True)
     return a, f
 
 
@@ -80,8 +86,8 @@ def test_kron_sum_equals_kron_add_chain_and_block_loop(n, block, seed):
     a, f = draw_terms(n, block, seed, integer_grids=True)
     got = T.kron_sum(a, f).data
     assert got.shape == (n * block[0], n * block[1]) + block[2:]
-    assert np.array_equal(got, kron_add_chain(a, f).data)
-    assert np.array_equal(got, block_loop_oracle([t.data for t in a], [t.data for t in f]))
+    assert np.array_equal(got, kron_add_chain(a, leaves(f)).data)
+    assert np.array_equal(got, block_loop_oracle([t.data for t in a], list(f.data)))
 
 
 @given(st.integers(1, 8), blocks, seeds)
@@ -89,7 +95,7 @@ def test_kron_sum_equals_kron_add_chain_and_block_loop(n, block, seed):
 def test_kron_sum_real_grids_match_block_loop(n, block, seed):
     a, f = draw_terms(n, block, seed, integer_grids=False)
     got = T.kron_sum(a, f).data
-    expect = block_loop_oracle([t.data for t in a], [t.data for t in f])
+    expect = block_loop_oracle([t.data for t in a], list(f.data))
     assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
 
 
@@ -103,8 +109,8 @@ def test_kron_sum_grad_check_learned_grids_and_blocks(n, block, seed):
         wc = T.mul(T.kron_sum(a, f), c)
         return T.sum_(T.mul(wc, wc))
 
-    for t in a + f:
-        for u in a + f:
+    for t in [*a, f]:
+        for u in [*a, f]:
             u.grad = None
         assert T.grad_check(loss, t) < 1e-6
 
@@ -120,17 +126,14 @@ def test_algebra_layers_match_pattern_assembly_bit_for_bit(name):
     conv = L.HConv2DLayer(a, 2 * n, n, 3, rng=gen(n + 1))
     for layer in (fc, conv):
         w = layer.assembled()
-        ref = pattern_reference(a, layer.blocks)
+        blocks = leaves(layer.f)
+        ref = pattern_reference(a, blocks)
         assert w.data.tobytes() == ref.data.tobytes()
         c = gen(7).standard_normal(w.data.shape)
-        grads = []
         for weight in (w, ref):
-            for b in layer.blocks:
-                b.grad = None
             wc = T.mul(weight, T.Tensor(c))
             T.backward(T.sum_(T.mul(wc, wc)))
-            grads.append([b.grad.tobytes() for b in layer.blocks])
-        assert grads[0] == grads[1]
+        assert layer.f.grad.tobytes() == np.stack([b.grad for b in blocks]).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -138,7 +141,7 @@ def test_ph_layer_weights_match_kron_add_chain(n):
     phm = P.PHMLayer(n, 3 * n, 2 * n, rng=gen(n))
     phc = P.PHCLayer(n, 2 * n, n, 3, rng=gen(n + 1))
     for layer in (phm, phc):
-        assert np.array_equal(layer.weight().data, kron_add_chain(layer.a, layer.f).data)
+        assert np.array_equal(layer.weight().data, kron_add_chain(layer.a, leaves(layer.f)).data)
 
 
 @pytest.mark.parametrize("name", alg.BUILTIN_NAMES)
@@ -147,10 +150,10 @@ def test_constant_algebra_grids_receive_no_gradient(name):
     layer = L.HFCLayer(a, 2 * a.n, a.n, rng=gen(0))
     x = T.Tensor(gen(1).standard_normal((3, 2 * a.n)))
     T.backward(T.sum_(layer(x)))
-    grids = L._grid_tensors(a)
+    grids = L._algebra_grids(a)[1]
     assert len(grids) == a.n
     assert all(g.grad is None and not g.requires_grad for g in grids)
-    assert all(b.grad is not None for b in layer.blocks)
+    assert layer.f.grad is not None
     with pytest.raises(ValueError):
         grids[0].data[0, 0] = 2.0  # shared by every layer: read-only
 
@@ -176,12 +179,14 @@ def test_hfc_graph_size_does_not_grow_with_n():
 def test_kron_sum_rejects_mismatched_terms():
     a, f = draw_terms(2, (3, 2), 0, integer_grids=True)
     with pytest.raises(ShapeError):
-        T.kron_sum(a, f[:1])
+        T.kron_sum(a, T.Tensor(f.data[:1]))
     with pytest.raises(ShapeError):
-        T.kron_sum([], [])
+        T.kron_sum([], T.Tensor(np.ones((0, 3, 2))))
     with pytest.raises(ShapeError):
         T.kron_sum([T.Tensor(np.eye(3))] * 2, f)
     with pytest.raises(ShapeError):
-        T.kron_sum(a, [f[0], T.Tensor(np.ones((2, 3)))])
+        T.kron_sum(a, T.Tensor(np.ones((2, 6))))
     with pytest.raises(ShapeError):
-        T.kron_sum(a, [T.Tensor(np.ones((1, 2, 3)))] * 2)
+        T.kron_sum(a, T.Tensor(np.ones((2, 1, 2, 3))))
+    with pytest.raises(ShapeError):
+        T.kron_sum(a, f, np.zeros((2, 4)))

@@ -16,8 +16,8 @@ def rng(seed=SEED):
 
 
 def set_blocks(layer, arrays):
-    for blk, arr in zip(layer.blocks, arrays):
-        blk.data[...] = arr
+    for blk, arr in zip(layer.f.data, arrays):
+        blk[...] = arr
 
 
 def test_assembled_quaternion_block_layout():
@@ -46,7 +46,7 @@ def test_assembled_complex_example():
 def test_assembled_real_is_single_block():
     r = alg.builtin("real")
     layer = L.HFCLayer(r, 3, 5, activation="none", rng=rng())
-    assert np.array_equal(layer.assembled().data, layer.blocks[0].data)
+    assert np.array_equal(layer.assembled().data, layer.f.data[0])
 
 
 def test_assembled_dual_quaternion_zero_block():
@@ -118,8 +118,8 @@ def test_hconv_1x1_equals_pixelwise_hfc():
     q = alg.builtin("quaternion")
     conv = L.HConv2DLayer(q, 8, 4, 1, activation="none", rng=rng())
     fc = L.HFCLayer(q, 8, 4, activation="none", rng=rng())
-    for cb, fb in zip(conv.blocks, fc.blocks):
-        fb.data[...] = cb.data[:, :, 0, 0]
+    for cb, fb in zip(conv.f.data, fc.f.data):
+        fb[...] = cb[:, :, 0, 0]
     fc.bias.data[...] = conv.bias.data
     x = rng(5).standard_normal((2, 8, 3, 3))
     via_conv = conv(T.Tensor(x)).data
@@ -149,7 +149,7 @@ def test_hatt_zero_convs_halve_input_under_sigmoid():
     q = alg.builtin("quaternion")
     att = L.HAttBlock(q, 4, kernel=3, rng=rng())
     for conv in (att.feature, att.fuse, att.proj):
-        set_blocks(conv, [np.zeros_like(b.data) for b in conv.blocks])
+        set_blocks(conv, [np.zeros_like(b) for b in conv.f.data])
         conv.bias.data[...] = 0.0
     x = rng(13).standard_normal((2, 4, 4, 4))
     y = att(T.Tensor(x)).data
@@ -170,7 +170,7 @@ def test_hatt_identity_gate_with_unit_map():
     q = alg.builtin("quaternion")
     att = L.HAttBlock(q, 4, kernel=3, gate="none", rng=rng())
     for conv in (att.feature, att.fuse, att.proj):
-        set_blocks(conv, [np.zeros_like(b.data) for b in conv.blocks])
+        set_blocks(conv, [np.zeros_like(b) for b in conv.f.data])
         conv.bias.data[...] = 0.0
     att.proj.bias.data[...] = 1.0  # a = all-ones, no gate: y = x
     x = rng(23).standard_normal((1, 4, 3, 3))

@@ -30,7 +30,7 @@ def naive_kron_sum(a_list, f_list):
 def test_phm_weight_matches_naive_block_assembly(n):
     layer = P.PHMLayer(n, 2 * n, 3 * n, rng=rng(n))
     got = layer.weight().data
-    expect = naive_kron_sum([a.data for a in layer.a], [f.data for f in layer.f])
+    expect = naive_kron_sum([a.data for a in layer.a], list(layer.f.data))
     assert np.array_equal(got, expect)
 
 
@@ -38,7 +38,7 @@ def test_phm_complex_pattern_example():
     layer = P.PHMLayer(2, 4, 4, rng=rng())
     layer.a[0].data[...] = np.eye(2)
     layer.a[1].data[...] = np.array([[0.0, -1.0], [1.0, 0.0]])
-    f1, f2 = layer.f[0].data, layer.f[1].data
+    f1, f2 = layer.f.data[0], layer.f.data[1]
     w = layer.weight().data
     assert np.array_equal(w[:2, :2], f1)
     assert np.array_equal(w[:2, 2:], -f2)
@@ -51,7 +51,7 @@ def test_phm_n1_is_scaled_real_layer():
     layer.a[0].data[...] = np.array([[2.0]])
     x = rng(1).standard_normal((4, 3))
     got = layer(T.Tensor(x)).data
-    expect = x @ (2.0 * layer.f[0].data).T + layer.bias.data
+    expect = x @ (2.0 * layer.f.data[0]).T + layer.bias.data
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
@@ -87,8 +87,8 @@ def test_collapse_matches_algebra_layer(name, n):
     hfc = L.HFCLayer(a, d, s, activation="none", rng=rng(n))
     phm = P.PHMLayer(n, d, s, rng=rng(n + 1))
     P.collapse_to_algebra(phm, a)
-    for fi, bi in zip(phm.f, hfc.blocks):
-        fi.data[...] = bi.data
+    for fi, bi in zip(phm.f.data, hfc.f.data):
+        fi[...] = bi
     phm.bias.data[...] = hfc.bias.data
     x = rng(99).standard_normal((1000, d))
     got = phm(T.Tensor(x)).data
@@ -123,10 +123,10 @@ def test_phc_matches_dense_conv_oracle():
     x = rng(5).standard_normal((2, 3, 4, 4))
     got = layer(T.Tensor(x)).data
     bank = np.zeros((3, 3, 1, 1))
-    for ai, fi in zip(layer.a, layer.f):
+    for ai, fi in zip(layer.a, layer.f.data):
         for r in range(3):
             for c in range(3):
-                bank[r : r + 1, c : c + 1] += ai.data[r, c] * fi.data
+                bank[r : r + 1, c : c + 1] += ai.data[r, c] * fi
     expect = T.conv2d(T.Tensor(x), T.Tensor(bank)).data + layer.bias.data[None, :, None, None]
     assert np.max(np.abs(got - expect)) < 1e-12
 
@@ -153,8 +153,8 @@ def test_phc_collapse_matches_hconv():
     conv = L.HConv2DLayer(q, 4, 8, 3, padding=1, activation="none", rng=rng(3))
     phc = P.PHCLayer(4, 4, 8, 3, padding=1, rng=rng(4))
     P.collapse_to_algebra(phc, q)
-    for fi, bi in zip(phc.f, conv.blocks):
-        fi.data[...] = bi.data
+    for fi, bi in zip(phc.f.data, conv.f.data):
+        fi[...] = bi
     phc.bias.data[...] = conv.bias.data
     x = rng(7).standard_normal((2, 4, 5, 5))
     assert np.max(np.abs(phc(T.Tensor(x)).data - conv(T.Tensor(x)).data)) < 1e-12
@@ -165,8 +165,8 @@ def test_phgraph_collapse_matches_hgraph():
     hg = L.HGraphConvLayer(q, 4, 4, activation="relu", rng=rng(8))
     pg = P.PHGraphLayer(4, 4, 4, activation="relu", rng=rng(9))
     P.collapse_to_algebra(pg, q)
-    for fi, bi in zip(pg.inner.f, hg.inner.blocks):
-        fi.data[...] = bi.data
+    for fi, bi in zip(pg.inner.f.data, hg.inner.f.data):
+        fi[...] = bi
     pg.inner.bias.data[...] = hg.inner.bias.data
     feats = rng(10).standard_normal((3, 4))
     g = L.Graph(3, [(0, 1), (1, 2)], feats)
@@ -205,7 +205,7 @@ def test_phatt_logit_shift_invariance_single_key():
     att = P.PHAttBlock(2, 4, rng=rng(17))
     x = T.Tensor(rng(18).standard_normal((1, 1, 4)))
     base = att(x).data
-    att.k.f[0].data[...] *= 10.0  # rescales the single logit only
+    att.k.f.data[0][...] *= 10.0  # rescales the single logit only
     assert np.max(np.abs(att(x).data - base)) < 1e-12
 
 
@@ -263,5 +263,5 @@ def test_phm_weight_kron_sum_property(n, seed):
     r = np.random.Generator(np.random.PCG64(seed))
     layer = P.PHMLayer(n, n * 2, n * 2, rng=r)
     got = layer.weight().data
-    expect = naive_kron_sum([a.data for a in layer.a], [f.data for f in layer.f])
+    expect = naive_kron_sum([a.data for a in layer.a], list(layer.f.data))
     assert np.array_equal(got, expect)

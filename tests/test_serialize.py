@@ -90,7 +90,7 @@ def test_phatt_keeps_each_projections_frozen_grids(tmp_path):
     S.save_model(tr.Network([block]), path)
     (loaded,) = S.load_model(path).layers
     assert [p.a_frozen for p in loaded.projections] == [p.a_frozen for p in block.projections]
-    assert len(loaded.parameters()) == len(block.parameters()) == 12
+    assert len(loaded.parameters()) == len(block.parameters()) == 9
 
 
 def file_with_cfg(tmp_path, layer, old, new):

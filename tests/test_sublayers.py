@@ -62,8 +62,8 @@ def test_collapse_to_algebra_on_a_network_equals_the_algebra_bound_network():
     assert P.collapse_to_algebra(net, q) is net
     for phm, bound in zip(P.grid_owners(net), (hfc.layers[0], hfc.layers[2])):
         assert phm.a_frozen == [True] * 4
-        for fi, bi in zip(phm.f, bound.blocks):
-            fi.data[...] = bi.data
+        for fi, bi in zip(phm.f.data, bound.f.data):
+            fi[...] = bi
         phm.bias.data[...] = bound.bias.data
     x = T.Tensor(rng(8).standard_normal((16, 8)))
     assert np.max(np.abs(net(x).data - hfc(x).data)) < 1e-12

@@ -169,7 +169,7 @@ def test_train_recovers_planted_linear_weights():
     cfg = tr.TrainConfig(seed=3, epochs=400, batch_size=64, lr=0.05, task="regression")
     metrics = tr.train(net, ds, cfg)
     assert metrics.losses[-1] < metrics.losses[0]
-    assert np.max(np.abs(layer.blocks[0].data - w_true)) < 1e-3
+    assert np.max(np.abs(layer.f.data[0] - w_true)) < 1e-3
     assert abs(layer.bias.data[0] - b_true[0]) < 1e-3
 
 

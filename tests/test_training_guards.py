@@ -8,7 +8,7 @@ from hxnn import tensor as T
 from hxnn import training as tr
 from hxnn.algebra import builtin
 from hxnn.errors import ConfigError, FormatError, ShapeError, TrainingDiverged
-from hxnn.layers import HConv2DLayer
+from hxnn.layers import HConv2DLayer, HFCLayer
 from hxnn.phlayers import PHCLayer
 from test_serialize import file_with_cfg
 
@@ -25,6 +25,36 @@ def test_sgd_at_huge_lr_raises_training_diverged():
     assert not np.isfinite(info.value.loss)
     assert f"epoch {info.value.epoch}" in str(info.value)
     assert isinstance(info.value, ValueError)
+
+
+def sgd_forecaster_run(lr, epochs, count=12, steps=1600):
+    """The real forecaster trained with SGD, batch 128, on Lorenz data."""
+    ds = tr.lorenz_trajectories(0, count=count, steps=steps)
+    f = tr.lorenz_forecaster("real", seed=0)
+    enc = tr.Dataset(f.features(ds.inputs), f.train_targets(ds.inputs, ds.targets),
+                     ds.train_idx, ds.test_idx)
+    cfg = tr.TrainConfig(seed=0, epochs=epochs, batch_size=128, lr=lr, optimizer="sgd")
+    return tr.train(f.net, enc, cfg)
+
+
+@pytest.mark.parametrize("count, steps", [(4, 400), (12, 1600)])
+def test_a_finite_blow_up_raises_training_diverged(count, steps):
+    # epoch losses grow by dozens of orders of magnitude and stay finite
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        sgd_forecaster_run(1e3, 4, count, steps)
+    assert info.value.epoch == 2
+    assert np.isfinite(info.value.loss) and info.value.loss > 1e20
+
+
+def test_a_run_that_recovers_from_a_huge_first_epoch_does_not_raise():
+    losses = sgd_forecaster_run(1.0, 3).losses
+    assert losses[0] > 1e13 and losses[0] > losses[1] > losses[2]
+
+
+def test_a_run_with_zero_first_epoch_loss_does_not_raise():
+    ds = tr.Dataset(np.zeros((40, 4)), np.zeros((40, 2)), np.arange(32), np.arange(32, 40))
+    net = tr.Network([HFCLayer(builtin("real"), 4, 2, activation="none")])
+    assert tr.train(net, ds, tr.TrainConfig(epochs=3, batch_size=8)).losses == [0.0] * 3
 
 
 @pytest.mark.parametrize("start, length", [(0, -1), (0, 0), (-1, 2), (-2, -1)])
