@@ -1,11 +1,7 @@
 """Plain-text experiment configs: ``key = value`` lines under [model],
 [data], [train] sections, '#' comments, and no silent typo tolerance.
-
-A command reads its file through ``Reads``, which records every key the
-readers look up; a key that no reader looked up raises ``ConfigError``
-before anything is built.  The readers look keys up only where they use
-them (``n`` only for a learned-grid family, ``hidden`` only for an mlp,
-...), so that check needs no table of its own.
+A command reads its file through ``Reads``, which records the keys its
+readers look up, and rejects every other key before building anything.
 """
 from __future__ import annotations
 

@@ -30,7 +30,8 @@ from .phlayers import conv_layer, linear_layer
 
 LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA = 10.0, 28.0, 8.0 / 3.0
 
-# Mean epoch loss above this multiple of the first epoch's: diverged.
+# An epoch loss above this multiple of epoch 1's has diverged; the
+# ``TrainingDiverged`` docstring gives the measurements behind it.
 DIVERGENCE_FACTOR = 1e3
 
 
