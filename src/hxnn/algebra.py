@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AlgebraMismatch, UnknownAlgebra
+from .errors import AlgebraMismatch, ConfigError, UnknownAlgebra
 
 DEFAULT_SEED = 0xC0FFEE
 SAMPLE_TOL = 1e-12
@@ -377,7 +377,7 @@ def check_property(
     compared to ``tol``.  With ``samples=0`` the exact pass decides.
     """
     if prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
+        raise ConfigError(f"unknown property {prop!r}, expected one of {PROPERTIES}")
     rng = np.random.Generator(np.random.PCG64(seed))
     row_sets, law = _LAWS[prop]
     mul = lambda x, y: multiply_arrays(a, x, y)

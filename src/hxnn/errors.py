@@ -35,7 +35,8 @@ class GraphFreed(ValueError):
 
 
 class ConfigError(ValueError):
-    """A config file failed to parse or validate."""
+    """A config file, or an argument to a constructor or function, failed
+    to parse or validate."""
 
 
 class TrainingDiverged(ValueError):

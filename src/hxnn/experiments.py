@@ -89,8 +89,7 @@ def gradcheck_all(seed=0xC0FFEE):
 
     def smooth(layer):
         for sub in grid_owners(layer):
-            for a in sub.a:
-                a.data[...] = rng.standard_normal(a.data.shape)
+            sub.a.data[...] = rng.standard_normal(sub.a.data.shape)
             if sub.bias is not None:
                 sub.bias.data[...] = 0.1 * rng.standard_normal(sub.bias.data.shape)
         return layer

@@ -1,6 +1,6 @@
 """Kronecker-sum layers: W = sum_i A_i (x) F_i over n grid matrices
-A_i (n, n) and n weight blocks F_i, held as one (n, *block) tensor and
-built by ``tensor.kron_sum``.
+A_i (n, n), held as one (n, n, n) tensor, and n weight blocks F_i, held
+as one (n, *block) tensor, built by ``tensor.kron_sum``.
 
 ``KronLayer`` holds that state; ``KronLinear``, ``KronConv2D`` and
 ``KronGraph`` are the one FC, conv and graph forward of both layer
@@ -63,22 +63,22 @@ class Layer:
 
 
 @lru_cache(maxsize=None)
-def _algebra_grids(algebra: Algebra) -> tuple:
-    """The algebra's grid matrices as one read-only (n, n, n) array, the
-    stack ``T.kron_sum`` multiplies by, and its rows as constant tensors:
-    built once per algebra and shared by every layer over it."""
+def _algebra_grids(algebra: Algebra) -> T.Tensor:
+    """The algebra's grid matrices as one constant (n, n, n) tensor over
+    a read-only array: built once per algebra and shared by every layer
+    over it."""
     stack = np.stack(algebra_grid_matrices(algebra))
     stack.setflags(write=False)
-    return stack, tuple(T.Tensor(m) for m in stack)
+    return T.Tensor(stack)
 
 
 class KronLayer(Layer):
     """Grid matrices ``a``, weight blocks ``f`` and an optional bias of
-    ``out`` entries; the weight is W = sum_i a[i] (x) f[i].  ``f`` is one
-    (n, *block) tensor, whose n blocks are He-initialised over ``fan_in``
-    inputs and drawn in block order.
+    ``out`` entries; the weight is W = sum_i a[i] (x) f[i].  ``a`` is one
+    (n, n, n) tensor; ``f`` is one (n, *block) tensor, whose n blocks are
+    He-initialised over ``fan_in`` inputs and drawn in block order.
 
-    A grid matrix is trained exactly when it requires grad: constant
+    The grids are trained exactly when ``a`` requires grad: constant
     algebra grids and frozen learned grids do not.  Subclasses define
     ``weight()``, which the forward passes call.
     """
@@ -86,17 +86,12 @@ class KronLayer(Layer):
     def __init__(self, a, block, fan_in, out, bias, rng):
         rng = rng or np.random.default_rng(0)
         std = np.sqrt(2.0 / fan_in)
-        self.a = list(a)
-        self.f = T.Tensor(rng.standard_normal((len(self.a), *block)) * std, requires_grad=True)
+        self.a = a
+        self.f = T.Tensor(rng.standard_normal((len(a.data), *block)) * std, requires_grad=True)
         self.bias = T.Tensor(np.zeros(out), requires_grad=True) if bias else None
 
-    @property
-    def a_frozen(self):
-        """Per grid matrix, True when it is not trained."""
-        return [not a.requires_grad for a in self.a]
-
     def parameters(self):
-        ps = [a for a in self.a if a.requires_grad] + [self.f]
+        ps = ([self.a] if self.a.requires_grad else []) + [self.f]
         if self.bias is not None:
             ps.append(self.bias)
         return ps
@@ -105,7 +100,7 @@ class KronLayer(Layer):
         """(free, dense): the entries of ``parameters()``, and those of
         the dense weight W plus the bias."""
         nb = self.bias.data.size if self.bias is not None else 0
-        return sum(p.data.size for p in self.parameters()), len(self.a) * self.f.data.size + nb
+        return sum(p.data.size for p in self.parameters()), len(self.a.data) * self.f.data.size + nb
 
 
 class KronLinear(KronLayer):
@@ -114,8 +109,8 @@ class KronLinear(KronLayer):
     unfolded after."""
 
     def __init__(self, a, d, s, activation, bias, rng, fan_in):
-        d_blk = _check_divisible(d, len(a), "input features d")
-        s_blk = _check_divisible(s, len(a), "output features s")
+        d_blk = _check_divisible(d, len(a.data), "input features d")
+        s_blk = _check_divisible(s, len(a.data), "output features s")
         self.d, self.s = d, s
         self.activation = _activation(activation)
         super().__init__(a, (s_blk, d_blk), fan_in, s, bias, rng)
@@ -131,8 +126,8 @@ class KronConv2D(KronLayer):
 
     def __init__(self, a, in_channels, out_channels, kernel, stride, padding,
                  activation, bias, rng, fan_in):
-        ci = _check_divisible(in_channels, len(a), "in_channels")
-        co = _check_divisible(out_channels, len(a), "out_channels")
+        ci = _check_divisible(in_channels, len(a.data), "in_channels")
+        co = _check_divisible(out_channels, len(a.data), "out_channels")
         _check_divisible(kernel, 1, "kernel")
         _check_divisible(stride, 1, "stride")
         if padding < 0:
@@ -160,10 +155,10 @@ class HFCLayer(KronLinear):
 
     def __init__(self, algebra: Algebra, d, s, activation="relu", bias=True, rng=None):
         self.algebra = algebra
-        super().__init__(_algebra_grids(algebra)[1], d, s, activation, bias, rng, fan_in=d)
+        super().__init__(_algebra_grids(algebra), d, s, activation, bias, rng, fan_in=d)
 
     def assembled(self) -> T.Tensor:
-        return T.kron_sum(self.a, self.f, _algebra_grids(self.algebra)[0])
+        return T.kron_sum(self.a, self.f)
 
     def weight(self) -> T.Tensor:
         return self.assembled()
@@ -176,12 +171,12 @@ class HConv2DLayer(KronConv2D):
     def __init__(self, algebra: Algebra, in_channels, out_channels, kernel,
                  stride=1, padding=0, activation="relu", bias=True, rng=None):
         self.algebra = algebra
-        super().__init__(_algebra_grids(algebra)[1], in_channels, out_channels, kernel,
+        super().__init__(_algebra_grids(algebra), in_channels, out_channels, kernel,
                          stride, padding, activation, bias, rng,
                          fan_in=in_channels * kernel * kernel)
 
     def assembled(self) -> T.Tensor:
-        return T.kron_sum(self.a, self.f, _algebra_grids(self.algebra)[0])
+        return T.kron_sum(self.a, self.f)
 
     def weight(self) -> T.Tensor:
         return self.assembled()

@@ -1,10 +1,10 @@
 """Parameterized hypercomplex (PHM-family) layers.
 
 Instead of a fixed algebra, these layers learn the n x n grid matrices
-A_i alongside the weight blocks F_i.  They are thin constructors over
-the Kronecker-sum core in ``layers`` (``KronLinear``, ``KronConv2D``,
-``KronGraph``), which the algebra-bound layers share with constant
-grids.  Any integer n >= 1 is legal (in particular n = 3 for RGB
+A_i, held as one (n, n, n) tensor, alongside the weight blocks F_i.
+They are thin constructors over the Kronecker-sum core in ``layers``
+(``KronLinear``, ``KronConv2D``, ``KronGraph``), which the algebra-bound
+layers share with constant grids.  Any integer n >= 1 is legal (in particular n = 3 for RGB
 inputs).  Freezing the A_i to a built-in algebra's grid matrices
 collapses the layer back to its algebra-bound counterpart exactly.
 ``linear_layer`` and ``conv_layer`` pick the layer class for a family:
@@ -15,19 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .algebra import Algebra, algebra_grid_matrices
+from .algebra import Algebra
 from .errors import AlgebraMismatch, ConfigError, DivisibilityError, ShapeError
-from .layers import HConv2DLayer, HFCLayer, KronConv2D, KronGraph, KronLinear, Layer
+from .layers import HConv2DLayer, HFCLayer, KronConv2D, KronGraph, KronLinear, Layer, _algebra_grids
 
 
 def _init_a(rng, n):
-    """Grid matrices start as random sign patterns, like a real algebra's."""
+    """Grid matrices start as random sign patterns, like a real algebra's:
+    one (n, n, n) tensor."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    return [
-        T.Tensor(rng.integers(-1, 2, size=(n, n)).astype(np.float64), requires_grad=True)
-        for _ in range(n)
-    ]
+    return T.Tensor(rng.integers(-1, 2, size=(n, n, n)).astype(np.float64), requires_grad=True)
 
 
 class PHMLayer(KronLinear):
@@ -145,8 +143,9 @@ def collapse_to_algebra(layer, algebra: Algebra):
     """Freeze the grid matrices of every PHM-family layer in ``layer``
     (one layer or a whole ``Network``) to a built-in algebra's left
     pattern; each then equals its algebra-bound counterpart exactly.
-    Every owner's n is checked before any grid changes.  Returns the
-    layer for chaining."""
+    A layer's n grids are written and frozen together.  Every owner's n
+    is checked before any grid changes.  Returns the layer for
+    chaining."""
     owners = grid_owners(layer)
     if not owners:
         raise TypeError(f"{type(layer).__name__} has no learned grid matrices")
@@ -156,8 +155,7 @@ def collapse_to_algebra(layer, algebra: Algebra):
                 f"layer has n={sub.n} but algebra {algebra.name} has n={algebra.n}"
             )
     for sub in owners:
-        for ai, mat in zip(sub.a, algebra_grid_matrices(algebra)):
-            ai.data[...] = mat
-            ai.requires_grad = False
-            ai.grad = None
+        sub.a.data[...] = _algebra_grids(algebra).data
+        sub.a.requires_grad = False
+        sub.a.grad = None
     return layer

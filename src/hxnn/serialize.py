@@ -1,5 +1,8 @@
 """Binary model files: magic "HXNN", version, descriptor, layer specs,
 then one flat little-endian float64 payload.  Round trips are bit-exact.
+A layer with learned grids stores them as n (n, n) entries and n
+``frozen`` flags; its grids freeze together, so the flags are all 0 or
+all 1, and a file with mixed flags raises ``FormatError``.
 """
 from __future__ import annotations
 
@@ -31,10 +34,6 @@ def _cfg_parse(text: str) -> dict:
     return out
 
 
-def _bool_list(flags):
-    return ",".join("1" if f else "0" for f in flags)
-
-
 # kind -> (class, config keys in the order of the constructor's positional
 # arguments).  This is the one list of layer kinds and their file keys: a
 # key reads the layer attribute of the same name ("in"/"out": the channel
@@ -59,21 +58,25 @@ _ENCODE = {"algebra": lambda a: a.name, "bias": lambda b: int(b is not None)}
 _DECODE = {"algebra": builtin, "bias": lambda v: bool(int(v)),
            "activation": str, "gate": str, "mode": str}  # every other key: int
 
-# "frozen" holds the grid flags of a layer's first grid owner
-# (``phlayers.grid_owners``); the i-th owner's flags are written as
+# "frozen" holds the n grid flags, all 0 or all 1, of a layer's first grid
+# owner (``phlayers.grid_owners``); the i-th owner's flags are written as
 # "frozen_<i-th name>" only where they differ from the first's.
 _OWNER_NAMES = ("q", "k", "v", "out")
 
 
+def _frozen_flags(n, frozen):
+    return ",".join(["1" if frozen else "0"] * n)
+
+
 def _stored(layer):
     """The tensors the file stores for ``layer``, in order: per Kronecker
-    layer its grid matrices, frozen or not, if it learns them, then each
-    weight block as a view of ``f``, then the bias."""
+    layer each grid matrix as a view of ``a``, frozen or not, if it learns
+    them, then each weight block as a view of ``f``, then the bias."""
     if not isinstance(layer, KronLayer):
         return [p for sub in layer.sublayers for p in _stored(sub)]
-    grids = layer.a if isinstance(layer, (PHMLayer, PHCLayer)) else []
+    grids = layer.a.data if isinstance(layer, (PHMLayer, PHCLayer)) else []
     bias = [layer.bias] if layer.bias is not None else []
-    return [*grids, *map(T.Tensor, layer.f.data), *bias]
+    return [*map(T.Tensor, grids), *map(T.Tensor, layer.f.data), *bias]
 
 
 def _describe(layer):
@@ -85,25 +88,23 @@ def _describe(layer):
     for key in KINDS[kind][1]:
         value = getattr(layer, _ATTRS.get(key, key))
         cfg[key] = _ENCODE[key](value) if key in _ENCODE else value
-    owners = grid_owners(layer)
-    if owners:
-        cfg["frozen"] = _bool_list(owners[0].a_frozen)
-    for name, sub in zip(_OWNER_NAMES, owners):
-        if sub.a_frozen != owners[0].a_frozen:
-            cfg[f"frozen_{name}"] = _bool_list(sub.a_frozen)
+    flags = [_frozen_flags(sub.n, not sub.a.requires_grad) for sub in grid_owners(layer)]
+    if flags:
+        cfg["frozen"] = flags[0]
+    for name, owner_flags in zip(_OWNER_NAMES, flags):
+        if owner_flags != flags[0]:
+            cfg[f"frozen_{name}"] = owner_flags
     return kind, cfg, _stored(layer)
 
 
 def _apply_frozen(layer, cfg, key):
     key = key if key in cfg else "frozen"
     if key in cfg:
-        flags = cfg[key].split(",")
-        if len(flags) != len(layer.a) or any(f not in ("0", "1") for f in flags):
+        if cfg[key] not in (_frozen_flags(layer.n, False), _frozen_flags(layer.n, True)):
             raise FormatError(
-                f"{key}={cfg[key]!r}: want {len(layer.a)} comma-separated 0/1 flags"
+                f"{key}={cfg[key]!r}: want {layer.n} comma-separated flags, all 0 or all 1"
             )
-        for a, fr in zip(layer.a, flags):
-            a.requires_grad = fr == "0"
+        layer.a.requires_grad = cfg[key] == _frozen_flags(layer.n, False)
 
 
 def _rebuild(kind, cfg):

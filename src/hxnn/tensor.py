@@ -23,7 +23,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import GraphFreed, ShapeError
+from .errors import ConfigError, GraphFreed, ShapeError
 
 # Per thread (and per asyncio task): one thread evaluating under
 # ``no_grad`` leaves another thread's graph recording on.
@@ -136,11 +136,6 @@ def backward(loss: Tensor):
 def _same_shape(a, b, opname):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -277,35 +272,29 @@ def blockwise_kron2d(a: Tensor, f: Tensor) -> Tensor:
     return _node(out, (a, f), vjp)
 
 
-def kron_sum(a_list, f, a_stack=None) -> Tensor:
-    """Kronecker sum W = sum_i A_i (x) F_i of n grid matrices A_i (n, n)
-    and the n blocks F_i = f[i] of one (n, *block) tensor ``f``, either
-    (p, q) -> (n*p, n*q) or conv filter banks (p, q, kh, kw) ->
-    (n*p, n*q, kh, kw), expanded over the channel axes.  ``a_stack``, if
-    given, holds the A_i already stacked as one (n, n, n) array: constant
-    algebra grids are stacked once per algebra.
+def kron_sum(a, f) -> Tensor:
+    """Kronecker sum W = sum_i A_i (x) F_i of the n grid matrices
+    A_i = a[i] of one (n, n, n) tensor ``a`` and the n blocks F_i = f[i]
+    of one (n, *block) tensor ``f``, either (p, q) -> (n*p, n*q) or conv
+    filter banks (p, q, kh, kw) -> (n*p, n*q, kh, kw), expanded over the
+    channel axes.
 
     One GEMM with inner dimension n builds every block cell at once:
     cell (r, c) of W is sum_i A_i[r, c] F_i.  The vector-Jacobian product
-    is one GEMM for ``f``, plus one for the A_i only when one of them
-    requires grad (constant algebra grids never do); only then are the
-    grids parents of the node, which otherwise has ``f`` alone.
+    is one GEMM for ``f``, plus one for ``a`` only when ``a`` requires
+    grad (constant algebra grids never do); only then is ``a`` a parent
+    of the node, which otherwise has ``f`` alone.
     """
-    a_list = tuple(a_list)
-    n = len(a_list)
-    if (n == 0 or f.data.ndim not in (3, 5) or f.data.shape[0] != n
-            or any(t.data.shape != (n, n) for t in a_list)
-            or (a_stack is not None and a_stack.shape != (n, n, n))):
-        raise ShapeError(
-            f"kron_sum: grids {[t.data.shape for t in a_list]} and blocks {f.data.shape}"
-        )
+    n = f.data.shape[0] if f.data.ndim in (3, 5) else 0
+    if n == 0 or a.data.shape != (n, n, n):
+        raise ShapeError(f"kron_sum: grids {a.data.shape} and blocks {f.data.shape}")
     p, q, *k = f.data.shape[1:]
-    a2 = (np.stack([t.data for t in a_list]) if a_stack is None else a_stack).reshape(n, n * n)
+    a2 = a.data.reshape(n, n * n)
     f2 = f.data.reshape(n, -1)  # [i, (p, q, k...)]
     cells = (n, n, p, q, *k)
     perm = (0, 2, 1, 3, *range(4, len(cells)))  # (r, c, p, q) <-> (r, p, c, q)
     out = (a2.T @ f2).reshape(cells).transpose(perm).reshape(n * p, n * q, *k)
-    learn_a = any(t.requires_grad for t in a_list)
+    learn_a = a.requires_grad
 
     def vjp(g):
         g2 = g.reshape(n, p, n, q, *k).transpose(perm).reshape(n * n, -1)
@@ -314,9 +303,9 @@ def kron_sum(a_list, f, a_stack=None) -> Tensor:
         # vector path), so an algebra-bound layer's block gradients equal,
         # bit for bit, the sum of its +-G cells taken one by one.
         gf = (g2.T @ a2.T).T.reshape(f.data.shape)
-        return (*(f2 @ g2.T).reshape(n, n, n), gf) if learn_a else (gf,)
+        return ((f2 @ g2.T).reshape(n, n, n), gf) if learn_a else (gf,)
 
-    return _node(out, a_list + (f,) if learn_a else (f,), vjp)
+    return _node(out, (a, f) if learn_a else (f,), vjp)
 
 
 # -----------------------------------------------------------------------------
@@ -436,10 +425,6 @@ def _identity(y):
 ACTIVATIONS = {"relu": _relu, "sigmoid": _sigmoid, "none": _identity}
 
 
-def relu(a: Tensor) -> Tensor:
-    return bias_act(a, None, "relu")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     return bias_act(a, None, "sigmoid")
 
@@ -453,15 +438,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
     return _node(y, (a,), vjp)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    return _node(y, (a,), lambda g: (g * y,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 # -----------------------------------------------------------------------------
@@ -534,7 +510,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     """Max relative error between the analytic gradient of the scalar
     function ``f`` at ``x`` and central finite differences."""
     if not x.requires_grad:
-        raise ValueError("grad_check needs a tensor with requires_grad=True")
+        raise ConfigError("grad_check needs a tensor with requires_grad=True")
     x.grad = None
     out = f(x)
     backward(out)

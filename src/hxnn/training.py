@@ -74,7 +74,7 @@ class Dataset:
         self.train_idx = np.asarray(self.train_idx, dtype=np.intp)
         self.test_idx = np.asarray(self.test_idx, dtype=np.intp)
         if np.intersect1d(self.train_idx, self.test_idx).size:
-            raise ValueError("train/test splits overlap")
+            raise ConfigError("train/test splits overlap")
 
     @property
     def train_inputs(self):
@@ -242,7 +242,7 @@ def make_rgb_blobs(seed, classes=4, samples_per_class=600, size=16,
     pairs, so a linear probe lands near 50%.
     """
     if classes != 4:
-        raise ValueError("the stripe construction defines exactly 4 classes")
+        raise ConfigError("the stripe construction defines exactly 4 classes")
     rng = np.random.Generator(np.random.PCG64(seed))
     n = classes * samples_per_class
     images = rng.normal(0.0, noise, size=(n, 3, size, size))

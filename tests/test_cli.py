@@ -106,9 +106,8 @@ def test_roundtrip_ph_layers_with_frozen_flags(tmp_path):
                       PHGraphLayer(2, 4, 4, rng=rng(6))])
     back = roundtrip(net, tmp_path)
     assert_params_equal(net, back)
-    assert back.layers[0].a_frozen == [True] * 4
-    assert all(not a.requires_grad for a in back.layers[0].a)
-    assert back.layers[1].a_frozen == [False] * 2
+    assert not back.layers[0].a.requires_grad
+    assert back.layers[1].a.requires_grad
 
 
 def test_roundtrip_attention_blocks(tmp_path):

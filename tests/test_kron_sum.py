@@ -9,6 +9,7 @@ from hxnn import layers as L
 from hxnn import phlayers as P
 from hxnn import tensor as T
 from hxnn.errors import ShapeError
+from oracle_ops import add
 
 
 def gen(seed):
@@ -33,7 +34,7 @@ def kron_add_chain(a_list, f_list):
     op = T.kron if f_list[0].data.ndim == 2 else T.blockwise_kron2d
     w = op(a_list[0], f_list[0])
     for a, f in zip(a_list[1:], f_list[1:]):
-        w = T.add(w, op(a, f))
+        w = add(w, op(a, f))
     return w
 
 
@@ -50,22 +51,23 @@ def pattern_reference(algebra, blocks):
     return T.concat(rows, axis=0)
 
 
-def leaves(f):
-    """Per-block leaf copies of an (n, *block) tensor, for the oracles."""
-    return [T.Tensor(b.copy(), requires_grad=f.requires_grad) for b in f.data]
+def leaves(t):
+    """Per-matrix leaf copies of an (n, n, n) grid tensor or an
+    (n, *block) block tensor, for the oracles."""
+    return [T.Tensor(b.copy(), requires_grad=t.requires_grad) for b in t.data]
 
 
 def draw_terms(n, block, seed, integer_grids):
-    """n grid matrices and one (n, *block) tensor of blocks, drawn block
-    after block.  Integer grids take entries in
+    """One (n, n, n) tensor of grid matrices and one (n, *block) tensor
+    of blocks.  Integer grids take entries in
     {-1, 0, 1}, the values of layer init and of every built-in algebra;
     with them every product is exact, so equal sums mean equal order."""
     r = gen(seed)
     if integer_grids:
-        grids = [r.integers(-1, 2, size=(n, n)).astype(np.float64) for _ in range(n)]
+        grids = r.integers(-1, 2, size=(n, n, n)).astype(np.float64)
     else:
-        grids = [r.standard_normal((n, n)) for _ in range(n)]
-    a = [T.Tensor(g, requires_grad=True) for g in grids]
+        grids = r.standard_normal((n, n, n))
+    a = T.Tensor(grids, requires_grad=True)
     f = T.Tensor(r.standard_normal((n, *block)), requires_grad=True)
     return a, f
 
@@ -86,8 +88,8 @@ def test_kron_sum_equals_kron_add_chain_and_block_loop(n, block, seed):
     a, f = draw_terms(n, block, seed, integer_grids=True)
     got = T.kron_sum(a, f).data
     assert got.shape == (n * block[0], n * block[1]) + block[2:]
-    assert np.array_equal(got, kron_add_chain(a, leaves(f)).data)
-    assert np.array_equal(got, block_loop_oracle([t.data for t in a], list(f.data)))
+    assert np.array_equal(got, kron_add_chain(leaves(a), leaves(f)).data)
+    assert np.array_equal(got, block_loop_oracle(list(a.data), list(f.data)))
 
 
 @given(st.integers(1, 8), blocks, seeds)
@@ -95,7 +97,7 @@ def test_kron_sum_equals_kron_add_chain_and_block_loop(n, block, seed):
 def test_kron_sum_real_grids_match_block_loop(n, block, seed):
     a, f = draw_terms(n, block, seed, integer_grids=False)
     got = T.kron_sum(a, f).data
-    expect = block_loop_oracle([t.data for t in a], list(f.data))
+    expect = block_loop_oracle(list(a.data), list(f.data))
     assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
 
 
@@ -109,8 +111,8 @@ def test_kron_sum_grad_check_learned_grids_and_blocks(n, block, seed):
         wc = T.mul(T.kron_sum(a, f), c)
         return T.sum_(T.mul(wc, wc))
 
-    for t in [*a, f]:
-        for u in [*a, f]:
+    for t in (a, f):
+        for u in (a, f):
             u.grad = None
         assert T.grad_check(loss, t) < 1e-6
 
@@ -141,7 +143,7 @@ def test_ph_layer_weights_match_kron_add_chain(n):
     phm = P.PHMLayer(n, 3 * n, 2 * n, rng=gen(n))
     phc = P.PHCLayer(n, 2 * n, n, 3, rng=gen(n + 1))
     for layer in (phm, phc):
-        assert np.array_equal(layer.weight().data, kron_add_chain(layer.a, leaves(layer.f)).data)
+        assert np.array_equal(layer.weight().data, kron_add_chain(leaves(layer.a), leaves(layer.f)).data)
 
 
 @pytest.mark.parametrize("name", alg.BUILTIN_NAMES)
@@ -150,12 +152,12 @@ def test_constant_algebra_grids_receive_no_gradient(name):
     layer = L.HFCLayer(a, 2 * a.n, a.n, rng=gen(0))
     x = T.Tensor(gen(1).standard_normal((3, 2 * a.n)))
     T.backward(T.sum_(layer(x)))
-    grids = L._algebra_grids(a)[1]
-    assert len(grids) == a.n
-    assert all(g.grad is None and not g.requires_grad for g in grids)
+    grids = L._algebra_grids(a)
+    assert layer.a is grids and grids.data.shape == (a.n, a.n, a.n)
+    assert grids.grad is None and not grids.requires_grad
     assert layer.f.grad is not None
     with pytest.raises(ValueError):
-        grids[0].data[0, 0] = 2.0  # shared by every layer: read-only
+        grids.data[0, 0, 0] = 2.0  # shared by every layer: read-only
 
 
 def graph_nodes(out):
@@ -181,12 +183,13 @@ def test_kron_sum_rejects_mismatched_terms():
     with pytest.raises(ShapeError):
         T.kron_sum(a, T.Tensor(f.data[:1]))
     with pytest.raises(ShapeError):
-        T.kron_sum([], T.Tensor(np.ones((0, 3, 2))))
-    with pytest.raises(ShapeError):
-        T.kron_sum([T.Tensor(np.eye(3))] * 2, f)
+        T.kron_sum(T.Tensor(np.ones((0, 0, 0))), T.Tensor(np.ones((0, 3, 2))))
+    for grids in (np.ones((2, 2)), np.ones((2, 3, 3)), np.ones((2, 2, 3)), np.ones((2, 2, 2, 1))):
+        with pytest.raises(ShapeError):  # not (n, n, n)
+            T.kron_sum(T.Tensor(grids), f)
+    with pytest.raises(ShapeError):  # n = 3 grids against n = 2 blocks
+        T.kron_sum(T.Tensor(np.ones((3, 3, 3))), f)
     with pytest.raises(ShapeError):
         T.kron_sum(a, T.Tensor(np.ones((2, 6))))
     with pytest.raises(ShapeError):
         T.kron_sum(a, T.Tensor(np.ones((2, 1, 2, 3))))
-    with pytest.raises(ShapeError):
-        T.kron_sum(a, f, np.zeros((2, 4)))

@@ -30,14 +30,14 @@ def naive_kron_sum(a_list, f_list):
 def test_phm_weight_matches_naive_block_assembly(n):
     layer = P.PHMLayer(n, 2 * n, 3 * n, rng=rng(n))
     got = layer.weight().data
-    expect = naive_kron_sum([a.data for a in layer.a], list(layer.f.data))
+    expect = naive_kron_sum(list(layer.a.data), list(layer.f.data))
     assert np.array_equal(got, expect)
 
 
 def test_phm_complex_pattern_example():
     layer = P.PHMLayer(2, 4, 4, rng=rng())
-    layer.a[0].data[...] = np.eye(2)
-    layer.a[1].data[...] = np.array([[0.0, -1.0], [1.0, 0.0]])
+    layer.a.data[0] = np.eye(2)
+    layer.a.data[1] = np.array([[0.0, -1.0], [1.0, 0.0]])
     f1, f2 = layer.f.data[0], layer.f.data[1]
     w = layer.weight().data
     assert np.array_equal(w[:2, :2], f1)
@@ -48,7 +48,7 @@ def test_phm_complex_pattern_example():
 
 def test_phm_n1_is_scaled_real_layer():
     layer = P.PHMLayer(1, 3, 2, rng=rng())
-    layer.a[0].data[...] = np.array([[2.0]])
+    layer.a.data[0] = np.array([[2.0]])
     x = rng(1).standard_normal((4, 3))
     got = layer(T.Tensor(x)).data
     expect = x @ (2.0 * layer.f.data[0]).T + layer.bias.data
@@ -57,8 +57,7 @@ def test_phm_n1_is_scaled_real_layer():
 
 def test_phm_zero_a_outputs_bias():
     layer = P.PHMLayer(2, 4, 4, rng=rng())
-    for a in layer.a:
-        a.data[...] = 0.0
+    layer.a.data[...] = 0.0
     layer.bias.data[...] = np.arange(4.0)
     y = layer(T.Tensor(rng(2).standard_normal((3, 4)))).data
     assert np.array_equal(y, np.tile(np.arange(4.0), (3, 1)))
@@ -95,21 +94,21 @@ def test_collapse_matches_algebra_layer(name, n):
     expect = hfc(T.Tensor(x)).data
     assert np.max(np.abs(got - expect)) < 1e-12
     # frozen grid matrices are out of the trainable set
-    assert all(not p.requires_grad for p in phm.a)
-    assert all(a not in phm.parameters() for a in phm.a)
+    assert not phm.a.requires_grad
+    assert phm.a not in phm.parameters()
 
 
 def test_collapse_complex_grid_matrices():
     phm = P.PHMLayer(2, 4, 4, rng=rng())
     P.collapse_to_algebra(phm, alg.builtin("complex"))
-    assert np.array_equal(phm.a[0].data, np.eye(2))
-    assert np.array_equal(phm.a[1].data, [[0.0, -1.0], [1.0, 0.0]])
+    assert np.array_equal(phm.a.data[0], np.eye(2))
+    assert np.array_equal(phm.a.data[1], [[0.0, -1.0], [1.0, 0.0]])
 
 
 def test_collapse_real_identity():
     phm = P.PHMLayer(1, 3, 3, rng=rng())
     P.collapse_to_algebra(phm, alg.builtin("real"))
-    assert np.array_equal(phm.a[0].data, [[1.0]])
+    assert np.array_equal(phm.a.data[0], [[1.0]])
 
 
 def test_collapse_dimension_mismatch():
@@ -123,10 +122,10 @@ def test_phc_matches_dense_conv_oracle():
     x = rng(5).standard_normal((2, 3, 4, 4))
     got = layer(T.Tensor(x)).data
     bank = np.zeros((3, 3, 1, 1))
-    for ai, fi in zip(layer.a, layer.f.data):
+    for ai, fi in zip(layer.a.data, layer.f.data):
         for r in range(3):
             for c in range(3):
-                bank[r : r + 1, c : c + 1] += ai.data[r, c] * fi
+                bank[r : r + 1, c : c + 1] += ai[r, c] * fi
     expect = T.conv2d(T.Tensor(x), T.Tensor(bank)).data + layer.bias.data[None, :, None, None]
     assert np.max(np.abs(got - expect)) < 1e-12
 
@@ -225,8 +224,8 @@ def jitter_off_kinks(layer, r):
     for sub in (layer, getattr(layer, "inner", None), *(getattr(layer, k, None) for k in ("q", "k", "v", "out"))):
         if sub is None:
             continue
-        for a in getattr(sub, "a", []):
-            a.data[...] = r.standard_normal(a.data.shape)
+        if getattr(sub, "a", None) is not None:
+            sub.a.data[...] = r.standard_normal(sub.a.data.shape)
         if getattr(sub, "bias", None) is not None:
             sub.bias.data[...] = 0.1 * r.standard_normal(sub.bias.data.shape)
 
@@ -263,5 +262,5 @@ def test_phm_weight_kron_sum_property(n, seed):
     r = np.random.Generator(np.random.PCG64(seed))
     layer = P.PHMLayer(n, n * 2, n * 2, rng=r)
     got = layer.weight().data
-    expect = naive_kron_sum([a.data for a in layer.a], list(layer.f.data))
+    expect = naive_kron_sum(list(layer.a.data), list(layer.f.data))
     assert np.array_equal(got, expect)

@@ -69,28 +69,24 @@ def phm_file_with_frozen(tmp_path, flags):
     return path
 
 
+# A layer's grids are frozen together: mixed flags ("1,0,1,0") are rejected.
 @pytest.mark.parametrize("flags", ["1,0", "1,0,0,0,1", "1,x,junk,0,1,1", "", "1,0,2,0",
-                                   "true,0,0,0", "1, 0,0,0"])
+                                   "true,0,0,0", "1, 0,0,0", "1,0,1,0"])
 def test_malformed_frozen_flags_rejected(flags, tmp_path):
     with pytest.raises(FormatError, match="frozen"):
         S.load_model(phm_file_with_frozen(tmp_path, flags))
 
 
-def test_partly_frozen_grids_load_as_flagged(tmp_path):
-    (layer,) = S.load_model(phm_file_with_frozen(tmp_path, "1,0,1,0")).layers
-    assert layer.a_frozen == [True, False, True, False]
-    assert layer.parameters()[:2] == [layer.a[1], layer.a[3]]
-
-
 def test_phatt_keeps_each_projections_frozen_grids(tmp_path):
     block = PHAttBlock(2, 4, rng=rng(11))
-    block.q.a[0].requires_grad = block.q.a[1].requires_grad = False
-    block.v.a[1].requires_grad = False
+    block.q.a.requires_grad = block.v.a.requires_grad = False
+    assert S._describe(block)[1]["frozen"] == "1,1"
+    assert S._describe(block)[1]["frozen_k"] == "0,0"
     path = tmp_path / "m.hxnn"
     S.save_model(tr.Network([block]), path)
     (loaded,) = S.load_model(path).layers
-    assert [p.a_frozen for p in loaded.projections] == [p.a_frozen for p in block.projections]
-    assert len(loaded.parameters()) == len(block.parameters()) == 9
+    assert [p.a.requires_grad for p in loaded.projections] == [False, True, False]
+    assert len(loaded.parameters()) == len(block.parameters()) == 7
 
 
 def file_with_cfg(tmp_path, layer, old, new):

@@ -61,7 +61,7 @@ def test_collapse_to_algebra_on_a_network_equals_the_algebra_bound_network():
                       L.HFCLayer(q, 4, 4, activation="none", rng=rng(6))])
     assert P.collapse_to_algebra(net, q) is net
     for phm, bound in zip(P.grid_owners(net), (hfc.layers[0], hfc.layers[2])):
-        assert phm.a_frozen == [True] * 4
+        assert not phm.a.requires_grad
         for fi, bi in zip(phm.f.data, bound.f.data):
             fi[...] = bi
         phm.bias.data[...] = bound.bias.data
@@ -72,11 +72,11 @@ def test_collapse_to_algebra_on_a_network_equals_the_algebra_bound_network():
 
 def test_mixed_n_network_is_left_untouched_after_algebra_mismatch():
     net = phm_net(n_first=4, n_second=2)
-    before = [(a.data.copy(), a.requires_grad) for o in P.grid_owners(net) for a in o.a]
+    before = [(o.a.data.copy(), o.a.requires_grad) for o in P.grid_owners(net)]
     with pytest.raises(AlgebraMismatch):
         P.collapse_to_algebra(net, alg.builtin("quaternion"))
-    after = [(a.data, a.requires_grad) for o in P.grid_owners(net) for a in o.a]
-    assert len(after) == len(before) == 6
+    after = [(o.a.data, o.a.requires_grad) for o in P.grid_owners(net)]
+    assert len(after) == len(before) == 2
     for (d0, g0), (d1, g1) in zip(before, after):
         assert np.array_equal(d0, d1) and g0 and g1
 
@@ -117,6 +117,6 @@ def test_user_composite_setting_only_sublayers_is_counted_and_trained():
 def test_free_count_is_the_size_of_parameters(build):
     net = build()
     assert net.param_count()[0] == sum(p.data.size for p in net.parameters())
-    for owner in P.grid_owners(net):  # a frozen grid leaves both
-        owner.a[0].requires_grad = False
+    for owner in P.grid_owners(net):  # frozen grids leave both
+        owner.a.requires_grad = False
     assert net.param_count()[0] == sum(p.data.size for p in net.parameters())

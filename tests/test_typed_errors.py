@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from hxnn import config as C
 from hxnn import serialize as S
+from hxnn import tensor as T
 from hxnn import training as tr
-from hxnn.algebra import builtin
+from hxnn.algebra import builtin, check_property
 from hxnn.errors import ConfigError, FormatError
 from hxnn.layers import HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
 from hxnn.phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer
@@ -92,7 +93,7 @@ def every_kind_model():
     whose grid flags differ, so the file holds a frozen_<name> line."""
     r = rng(3)
     att = PHAttBlock(2, 4, heads=2, rng=r)
-    att.k.a[0].requires_grad = False
+    att.k.a.requires_grad = False
     return tr.Network([
         HFCLayer(Q, 4, 8, rng=r),
         HFCLayer(builtin("real"), 3, 2, activation="none", bias=False, rng=r),
@@ -156,3 +157,28 @@ def test_one_byte_header_edit_raises_only_format_error(pos, byte):
 def test_truncated_file_raises_format_error(length):
     with pytest.raises(FormatError):
         load_bytes(BLOB[:length])
+
+
+# Plain argument errors raise ConfigError (a ValueError), not a bare ValueError.
+def test_overlapping_dataset_splits_raise_config_error():
+    with pytest.raises(ConfigError) as exc:
+        tr.Dataset(np.zeros((3, 2)), np.zeros(3), np.array([0, 1]), np.array([1, 2]))
+    assert type(exc.value) is ConfigError
+
+
+def test_blobs_with_other_than_four_classes_raise_config_error():
+    with pytest.raises(ConfigError) as exc:
+        tr.make_rgb_blobs(0, classes=3, samples_per_class=2, size=4)
+    assert type(exc.value) is ConfigError
+
+
+def test_unknown_property_raises_config_error():
+    with pytest.raises(ConfigError) as exc:
+        check_property(Q, "distributive")
+    assert type(exc.value) is ConfigError
+
+
+def test_grad_check_on_a_constant_tensor_raises_config_error():
+    with pytest.raises(ConfigError) as exc:
+        T.grad_check(T.sum_, T.Tensor(np.ones(3)))
+    assert type(exc.value) is ConfigError
