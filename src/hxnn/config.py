@@ -211,12 +211,21 @@ def model_from(cfg: dict, feature_dim=None, target_dim=None) -> tr.Network:
     return read_model(cfg)(feature_dim, target_dim)
 
 
+# The one training task each dataset's targets fit.
+DATASET_TASKS = {"blobs": "classification", "lorenz": "regression"}
+
+
 def read_run(cfg: dict, seed_override=None):
     """Read the config of ``hxnn train`` and ``hxnn eval``: (dataset
     maker, ``TrainConfig``, model builder).  Every key is read before
-    anything is built, and a key none of the three reads raises
-    ``ConfigError``, so one file serves both commands."""
+    anything is built, and a key none of the three reads, or a task the
+    dataset's targets do not fit, raises ``ConfigError``, so one file
+    serves both commands."""
     reads = Reads(cfg)
     run = read_dataset(reads), train_config_from(reads, seed_override), read_model(reads)
     reads.reject_unread("train and eval")
+    dataset, task = _get(cfg, "data", "dataset"), run[1].task
+    if task != DATASET_TASKS[dataset]:
+        raise ConfigError(f"train.task = {task} does not fit dataset {dataset}: "
+                          f"set task = {DATASET_TASKS[dataset]} in [train]")
     return run

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import builtin, multiply_arrays
-from .errors import DegenerateAxis, NormalizationError
+from .errors import ConfigError, DegenerateAxis, NormalizationError, ShapeError
 
 UNIT_TOL = 1e-9
 QUATERNION = builtin("quaternion")
@@ -66,7 +66,7 @@ class UnitQuaternion:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.float64)
         if c.shape != (4,):
-            raise ValueError(f"quaternion needs 4 coefficients, got {c.shape}")
+            raise ShapeError(f"quaternion needs 4 coefficients, got {c.shape}")
         object.__setattr__(self, "coeffs", _checked_unit(c))
 
     @classmethod
@@ -112,7 +112,7 @@ class RigidTransform:
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=np.float64)
         if t.shape != (3,):
-            raise ValueError(f"translation needs 3 components, got {t.shape}")
+            raise ShapeError(f"translation needs 3 components, got {t.shape}")
         object.__setattr__(self, "translation", t)
 
     @classmethod
@@ -134,7 +134,7 @@ class DualQuaternion:
         for nm in ("q_r", "q_d"):
             c = np.asarray(getattr(self, nm), dtype=np.float64)
             if c.shape != (4,):
-                raise ValueError(f"{nm} needs 4 coefficients, got {c.shape}")
+                raise ShapeError(f"{nm} needs 4 coefficients, got {c.shape}")
             object.__setattr__(self, nm, c)
 
     @property
@@ -213,7 +213,7 @@ def equivariance_report(predict, transform_family, inputs, targets, magnitudes,
     mse_transformed is 0 too and inf if not.
     """
     if transform_family not in ("translation", "rotation"):
-        raise ValueError(f"unknown transform family {transform_family!r}")
+        raise ConfigError(f"unknown transform family {transform_family!r}")
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     base_mse = float(np.mean((predict(inputs) - targets) ** 2))

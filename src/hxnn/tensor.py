@@ -321,10 +321,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     multiplies each by the (O, C*kh*kw) filter matrix; the filter
     gradient is one GEMM per sample, summed over the batch.  The input
     gradient (``None`` for a constant input, such as a network's images)
-    lays ``g`` channel-major onto the padded grid, cut into stride x
-    stride phases with the batch in the columns.  Tap (i, j) is one GEMM
-    and one contiguous shifted add into phase (i % s, j % s): each input
-    element sums im2col's products in its tap order, plus exact zeros.
+    lays ``g`` channel-major onto a grid of hs x ws cells per sample, one
+    cell per stride x stride phase block of the padded input, with the
+    batch in the columns.  Tap (i, j) is one GEMM and one contiguous
+    shifted add into phase (i % s, j % s): each input element sums
+    im2col's products in its tap order, plus exact zeros.  The grid is
+    the smallest that keeps those sums:
+    ``hs = max(ho + max((kh - 1) // s - p // s, 0), ceil((p + h) / s))``,
+    and ``ws`` alike.  The first term makes every tap read for a kept
+    pixel land in its own sample's rows of ``g`` or in a zero row; its
+    inner max keeps ``ho`` rows when the padding exceeds kh - 1.  The
+    second keeps the crop of the padding inside each cell.  One spare
+    zero cell follows the last sample: BLAS computes a GEMM's last
+    columns another way, so they must fall where no kept pixel is.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: shapes {x.data.shape} and {w.data.shape}")
@@ -350,16 +359,17 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         gw = (g2 @ cols2.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
         if not x.requires_grad:
             return None, gw
-        hs, ws = -(-hp // stride), -(-wp // stride)
-        size = n * hs * ws
+        hs = max(ho + max((kh - 1) // stride - padding // stride, 0), -(-(padding + h) // stride))
+        ws = max(wo + max((kw - 1) // stride - padding // stride, 0), -(-(padding + wd) // stride))
+        size = (n + 1) * hs * ws  # the last cell is a spare, all zeros
         gp = np.zeros((o, size))
-        gp.reshape(o, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+        gp.reshape(o, n + 1, hs, ws)[:, :n, :ho, :wo] = g.transpose(1, 0, 2, 3)
         taps = w.data.transpose(2, 3, 0, 1).copy()  # (o, c) blocks used transposed, as wf.T was: same bits
         phases = np.zeros((stride, stride, c, size))
         for i, j in np.ndindex(kh, kw):
             off = i // stride * ws + j // stride  # gp's last off columns hold no output pixel
             phases[i % stride, j % stride, :, off:] += taps[i, j].T @ gp[:, : size - off]
-        grid = phases.reshape(stride, stride, c, n, hs, ws).transpose(3, 2, 4, 0, 5, 1)
+        grid = phases[..., : n * hs * ws].reshape(stride, stride, c, n, hs, ws).transpose(3, 2, 4, 0, 5, 1)
         grid = grid.reshape(n, c, stride * hs, stride * ws)
         return grid[:, :, padding : padding + h, padding : padding + wd].copy(), gw
 

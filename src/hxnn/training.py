@@ -123,16 +123,16 @@ def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     once to the whole buffer, with the operands in the textbook order, so
     the results are bit-identical to updating each tensor on its own.
     A parameter whose ``data`` no longer is its packed view raises
-    ``ValueError`` rather than have the update miss it.
+    ``ConfigError`` rather than have the update miss it.
     """
     if not state:
         _pack(params, state)
     if len(params) != len(state["data"]):
-        raise ValueError(f"adam_step: {len(params)} parameters, state holds {len(state['data'])}")
+        raise ConfigError(f"adam_step: {len(params)} parameters, state holds {len(state['data'])}")
     for p, view, grad in zip(params, state["data"], state["g"]):
         if p.data is not view:
-            raise ValueError(f"adam_step: parameter of shape {p.data.shape} is not "
-                             "the view packed on the first step (was .data rebound?)")
+            raise ConfigError(f"adam_step: parameter of shape {p.data.shape} is not "
+                              "the view packed on the first step (was .data rebound?)")
         grad[...] = p.grad if p.grad is not None else 0.0
     data, m, v, g = state["buffer"]
     state["t"] += 1
@@ -149,7 +149,7 @@ def _pack(params, state):
     """Move ``params`` into one (4, total) buffer of values, first and
     second moments and gradients, and rebind each ``p.data`` to its view."""
     if len({id(p) for p in params}) != len(params):
-        raise ValueError("adam_step: a parameter is listed more than once")
+        raise ConfigError("adam_step: a parameter is listed more than once")
     bounds = np.cumsum([0] + [p.data.size for p in params])
     buffer = np.zeros((4, bounds[-1]))
     data, m, v, g = (
@@ -424,7 +424,7 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Metrics:
             elif config.optimizer == "adam":
                 adam_step(params, state, config.lr, config.beta1, config.beta2, config.eps)
             else:
-                raise ValueError(f"unknown optimizer {config.optimizer!r}")
+                raise ConfigError(f"unknown optimizer {config.optimizer!r}")
             total += loss.item() * len(idx)
             count += len(idx)
         metrics.losses.append(total / count)

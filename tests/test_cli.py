@@ -280,6 +280,14 @@ def test_cli_train_bad_config_exits_one(capsys, tmp_path):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_cli_train_on_blobs_without_the_classification_task_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "blobs.cfg"
+    cfg.write_text(BLOBS_CFG.replace("task = classification\n", ""))
+    assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "train.task" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_file_exits_two(capsys, tmp_path):
     assert main(["train", str(tmp_path / "none.cfg")]) == 2
     assert "i/o error" in capsys.readouterr().err

@@ -37,3 +37,12 @@ def test_train_config_reads_the_file_and_the_seed_override_wins():
 def test_bad_train_value_is_a_config_error(key, value):
     with pytest.raises(ConfigError, match=key if key != "optimizer" else "adamw"):
         C.train_config_from({"train": {key: value}})
+
+
+@pytest.mark.parametrize("dataset, train", [("blobs", {}), ("blobs", {"task": "regression"}),
+                                            ("lorenz", {"task": "classification"})])
+def test_a_task_the_dataset_does_not_fit_is_a_config_error(dataset, train):
+    cfg = {"model": {"kind": "mlp"}, "data": {"dataset": dataset}, "train": train}
+    with pytest.raises(ConfigError, match="train.task") as exc:
+        C.read_run(cfg)
+    assert f"task = {C.DATASET_TASKS[dataset]}" in str(exc.value)

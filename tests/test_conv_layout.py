@@ -114,6 +114,25 @@ def test_negative_zero_gradients_match_at_every_stride(stride):
     assert [a.tobytes() for a in new] == [a.tobytes() for a in old]
 
 
+BATCH_CASES = [((64, 24, h, h), (24, 24, 3, 3), stride, 1) for h in (8, 4) for stride in (1, 2)]
+BATCH_CASES += [((64, 24, 8, 8), (24, 24, 1, 1), 1, 1)]  # padding > kernel - 1: the grid must still hold ho
+
+
+@pytest.mark.parametrize("x_shape, w_shape, stride, padding", BATCH_CASES)
+def test_batch_64_convs_match_the_loop_form_bit_for_bit(x_shape, w_shape, stride, padding):
+    """The blobs networks' conv shapes, at a batch large enough that the
+    last sample's last kept row meets the tap GEMMs' last columns."""
+    r = gen(x_shape[2] + w_shape[2] + stride)
+    xd, wd = r.standard_normal(x_shape), r.standard_normal(w_shape)
+    ho = (x_shape[2] + 2 * padding - w_shape[2]) // stride + 1
+    wo = (x_shape[3] + 2 * padding - w_shape[3]) // stride + 1
+    g = r.standard_normal((x_shape[0], w_shape[0], ho, wo))
+    g[r.random(g.shape) < 0.3] = 0.0
+    g[r.random(g.shape) < 0.2] *= 0.0  # relu masks pass back +0.0 and -0.0
+    new, old = (conv_bits(conv, xd, wd, g, stride, padding, True) for conv in (T.conv2d, old_conv2d))
+    assert [a.tobytes() for a in new] == [a.tobytes() for a in old]
+
+
 def trained_bits(build, data, config):
     model = build()
     metrics = tr.train(model, data, config)

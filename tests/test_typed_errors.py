@@ -10,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hxnn import config as C
+from hxnn import geometry as G
 from hxnn import serialize as S
 from hxnn import tensor as T
 from hxnn import training as tr
 from hxnn.algebra import builtin, check_property
-from hxnn.errors import ConfigError, FormatError
+from hxnn.errors import ConfigError, FormatError, ShapeError
 from hxnn.layers import HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
 from hxnn.phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer
 from test_serialize import file_with_cfg
@@ -181,4 +182,65 @@ def test_unknown_property_raises_config_error():
 def test_grad_check_on_a_constant_tensor_raises_config_error():
     with pytest.raises(ConfigError) as exc:
         T.grad_check(T.sum_, T.Tensor(np.ones(3)))
+    assert type(exc.value) is ConfigError
+
+
+BAD_SHAPES = {
+    "quaternion": lambda: G.UnitQuaternion(np.zeros(3)),
+    "dual quaternion": lambda: G.DualQuaternion(np.array([1.0, 0, 0, 0]), np.zeros(5)),
+    "translation": lambda: G.RigidTransform(G.UnitQuaternion.identity(), np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_bad_geometry_shapes_raise_shape_error(case):
+    with pytest.raises(ShapeError) as exc:
+        BAD_SHAPES[case]()
+    assert type(exc.value) is ShapeError
+
+
+def test_unknown_transform_family_raises_config_error():
+    with pytest.raises(ConfigError) as exc:
+        G.equivariance_report(lambda w: w[:, -1], "shear", np.zeros((2, 3, 3)), np.zeros((2, 3)), [1.0])
+    assert type(exc.value) is ConfigError
+
+
+def packed_adam_params():
+    params = [T.Tensor(np.ones(2), requires_grad=True), T.Tensor(np.ones(3), requires_grad=True)]
+    state = {}
+    tr.adam_step(params, state, 0.01)
+    return params, state
+
+
+def adam_with_a_parameter_missing():
+    params, state = packed_adam_params()
+    tr.adam_step(params[:1], state, 0.01)
+
+
+def adam_with_a_rebound_parameter():
+    params, state = packed_adam_params()
+    params[0].data = params[0].data.copy()
+    tr.adam_step(params, state, 0.01)
+
+
+def adam_with_a_parameter_twice():
+    w = T.Tensor(np.ones(2), requires_grad=True)
+    tr.adam_step([w, w], {}, 0.01)
+
+
+@pytest.mark.parametrize("misuse", [adam_with_a_parameter_missing, adam_with_a_rebound_parameter,
+                                    adam_with_a_parameter_twice])
+def test_adam_state_misuse_raises_config_error(misuse):
+    with pytest.raises(ConfigError) as exc:
+        misuse()
+    assert type(exc.value) is ConfigError
+
+
+def test_an_optimizer_changed_after_construction_raises_config_error():
+    ds = tr.Dataset(np.zeros((8, 4)), np.zeros((8, 2)), np.arange(6), np.arange(6, 8))
+    net = tr.Network([HFCLayer(builtin("real"), 4, 2, activation="none")])
+    config = tr.TrainConfig(epochs=1, batch_size=4)
+    config.optimizer = "rmsprop"
+    with pytest.raises(ConfigError) as exc:
+        tr.train(net, ds, config)
     assert type(exc.value) is ConfigError
