@@ -15,7 +15,9 @@ one node each: ``linear`` (act(x W^T + b)), ``bias_act`` (act(x + b)
 after a conv or a graph aggregation) and, in ``training``, the MSE and
 log-softmax-NLL losses.  Each fused node performs the same numpy
 operations as the chain it replaces, in the same order, so its value and
-gradients are the same to the bit.
+gradients are the same to the bit.  An activation may overwrite the
+array it is given, so each fused node hands it a fresh pre-activation,
+never an input's data: relu writes its output once, into that array.
 """
 from __future__ import annotations
 
@@ -379,27 +381,28 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 def avg_pool2d(x: Tensor, window: int) -> Tensor:
     """Non-overlapping window mean over the spatial axes of an NCHW tensor.
 
-    One node.  The forward adds the window taps with strided adds in the
-    order numpy's ``sum(axis=(3, 5))`` over the (N, C, H/k, k, W/k, k)
-    view reduces them: each window row in turn, onto +0.0.  So the result
-    is the same to the bit, and a one-column output, whose windows numpy
-    sums as one contiguous run, takes that reduction itself.  The
-    vector-Jacobian product spreads ``g`` times 1/k**2 over each window.
+    One node.  The forward adds the taps in the order numpy's ``sum(axis=
+    (3, 5))`` over the (N, C, H/k, k, W/k, k) view does, so the result is
+    the same to the bit: every row's k taps in one pass over the (N, C, H,
+    W/k, k) view, then each window's k rows onto +0.0.  A one-column
+    output, whose windows numpy sums as one contiguous run, takes that
+    reduction itself.  The vjp spreads ``g`` times 1/k**2 over each window.
     """
     n, c, h, w = x.data.shape
     if h % window or w % window:
         raise ShapeError(f"avg_pool2d: window {window} does not tile {(h, w)}")
     ho, wo = h // window, w // window
-    xr = x.data.reshape(n, c, ho, window, wo, window)
     if wo == 1:
-        total = xr.sum(axis=(3, 5))
+        total = x.data.reshape(n, c, ho, window, wo, window).sum(axis=(3, 5))
     else:
+        xr = x.data.reshape(n, c, h, wo, window)
+        rows = np.add(xr[..., 0], xr[..., 1]) if window > 1 else xr[..., 0]
+        for j in range(2, window):
+            rows += xr[..., j]
+        rows = rows.reshape(n, c, ho, window, wo)
         total = np.zeros((n, c, ho, wo))
         for i in range(window):
-            row = xr[:, :, :, i, :, 0].copy()
-            for j in range(1, window):
-                row += xr[:, :, :, i, :, j]
-            total += row
+            total += rows[:, :, :, i]
     alpha = 1.0 / (window * window)
     total *= alpha
 
@@ -414,12 +417,14 @@ def avg_pool2d(x: Tensor, window: int) -> Tensor:
 #
 # Each activation maps an array to its value and to the function that
 # carries a gradient back through it; ``bias_act`` and ``linear`` apply
-# them.
+# them.  An activation may overwrite the array it is given (relu does),
+# so callers pass a fresh array that nothing else holds.
 
 
 def _relu(y):
     mask = y > 0  # subgradient 0 at the kink
-    return y * mask, lambda g: g * mask
+    y *= mask
+    return y, lambda g: g * mask
 
 
 def _sigmoid(y):
@@ -503,6 +508,8 @@ def bias_act(x: Tensor, b: Tensor | None, activation: str) -> Tensor:
     if b is None and activation == "none":
         return x
     pre, axes = _biased(x.data, b)
+    if b is None and activation == "relu":
+        pre = pre.copy()  # relu writes into its argument, and x.data is not ours
     y, back = ACTIVATIONS[activation](pre)
 
     def vjp(g):

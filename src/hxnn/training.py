@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size={self.batch_size}: must be at least 1")
         if self.epochs < 0:
             raise ConfigError(f"epochs={self.epochs}: must not be negative")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr={self.lr!r}: must be a finite positive number")
 
 
 @dataclass
@@ -243,6 +245,10 @@ def make_rgb_blobs(seed, classes=4, samples_per_class=600, size=16,
     """
     if classes != 4:
         raise ConfigError("the stripe construction defines exactly 4 classes")
+    per_train = int(samples_per_class * train_fraction)
+    if not 0 < per_train < samples_per_class:
+        raise ConfigError(f"samples_per_class={samples_per_class} gives {per_train} train and "
+                          f"{samples_per_class - per_train} test samples per class (need 1 each)")
     rng = np.random.Generator(np.random.PCG64(seed))
     n = classes * samples_per_class
     images = rng.normal(0.0, noise, size=(n, 3, size, size))
@@ -256,7 +262,6 @@ def make_rgb_blobs(seed, classes=4, samples_per_class=600, size=16,
         wave = (((coords + phase) % period) < period // 2).astype(np.float64)
         stripes = np.tile(wave, (size, 1)) if orientation == 0 else np.tile(wave[:, None], (1, size))
         images[idx, channel] += amp * stripes
-    per_train = int(samples_per_class * train_fraction)
     train_idx, test_idx = [], []
     for c in range(classes):
         base = c * samples_per_class

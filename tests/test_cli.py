@@ -358,6 +358,15 @@ def test_cli_experiment_bad_value_exits_one(capsys, tmp_path):
     assert "epochs" in capsys.readouterr().err
 
 
+def test_cli_experiment_blobs_with_an_empty_train_split_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[model]\nchannels = 6\n[data]\nsamples_per_class = 1\nsize = 8\n"
+                   "[train]\nepochs = 1\n")
+    assert main(["experiment", "blobs", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "samples_per_class=1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["blobs", "lorenz"])
 def test_cli_experiment_with_zero_epochs_exits_one_before_running(name, capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"

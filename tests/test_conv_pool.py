@@ -1,6 +1,7 @@
 """conv2d gradients against a loop oracle, the constant-input path, and
 the one-node avg_pool2d against the reshape/mean composition it replaced."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,16 +78,15 @@ def old_avg_pool2d(x, window):
     return T.mean(T.reshape(x, (n, c, h // window, window, w // window, window)), axis=(3, 5))
 
 
-@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
-       st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_avg_pool2d_equals_reshape_mean_composition(window, ho, wo, n, c, relu_first, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    data = rng.standard_normal((n, c, ho * window, wo * window))
+def pool_data(rng, shape, relu_first):
+    data = rng.standard_normal(shape)
     data *= 10.0 ** rng.uniform(-3, 3, data.shape)
     if relu_first:  # relu leaves -0.0 entries, whose sum numpy reports as +0.0
         data = relu(T.Tensor(data)).data
-    g = rng.standard_normal((n, c, ho, wo))
+    return data
+
+
+def assert_pool_matches_composition(data, window, g):
     results = []
     for pool in (T.avg_pool2d, old_avg_pool2d):
         x = T.Tensor(data, requires_grad=True)
@@ -96,6 +96,24 @@ def test_avg_pool2d_equals_reshape_mean_composition(window, ho, wo, n, c, relu_f
     (y_new, gx_new), (y_old, gx_old) = results
     assert gx_new.tobytes() == gx_old.tobytes()
     assert y_new.tobytes() == y_old.tobytes()
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_avg_pool2d_equals_reshape_mean_composition(window, ho, wo, n, c, relu_first, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = pool_data(rng, (n, c, ho * window, wo * window), relu_first)
+    assert_pool_matches_composition(data, window, rng.standard_normal((n, c, ho, wo)))
+
+
+@pytest.mark.parametrize("shape", [(64, 24, 16, 16), (64, 24, 8, 8), (160, 24, 16, 16)])
+def test_avg_pool2d_equals_reshape_mean_composition_at_the_blobs_shapes(shape):
+    rng = np.random.Generator(np.random.PCG64(19))
+    data = pool_data(rng, shape, relu_first=True)
+    assert np.signbit(data[data == 0]).any()
+    n, c, h, w = shape
+    assert_pool_matches_composition(data, 2, rng.standard_normal((n, c, h // 2, w // 2)))
 
 
 def test_avg_pool2d_is_one_graph_node():

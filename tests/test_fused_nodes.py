@@ -243,8 +243,10 @@ def test_a_constant_mse_target_gets_no_gradient_array():
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
 def test_the_linear_vjp_does_not_keep_the_pre_activation_alive(activation, monkeypatch):
-    """The closure needs only the shape of x W^T + b, not the array: it
-    must be freed once the forward returns, although the node lives on."""
+    """The closure needs only the shape of x W^T + b, not the array.  Relu
+    writes its output into that array, so it lives on as the output: one
+    full-size array, not two.  Sigmoid's must be freed once the forward
+    returns, although the node lives on."""
     seen = []
 
     def spy(pre):
@@ -256,7 +258,57 @@ def test_the_linear_vjp_does_not_keep_the_pre_activation_alive(activation, monke
     w = T.Tensor(gen(1).standard_normal((3, 4)), requires_grad=True)
     y = T.linear(x, w, T.Tensor(np.zeros(3), requires_grad=True), "spy")
     gc.collect()
-    assert y._vjp is not None and seen[0]() is None
+    assert y._vjp is not None
+    if activation == "relu":
+        assert seen[0]() is y.data
+    else:
+        assert seen[0]() is None
+
+
+def blobs_shaped(seed, shape):
+    """Coarse draws at a blobs activation shape, passed through a relu
+    first, as a conv stage's output is: exact zeros, -0.0 among them."""
+    v = draw(gen(seed), shape, coarse=True)
+    v = v * (v > 0)
+    assert np.signbit(v[v == 0]).any()
+    return v
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("shape", [(64, 24, 16, 16), (64, 24, 8, 8), (160, 24, 16, 16)])
+def test_bias_relu_matches_the_chain_at_the_blobs_shapes(shape, bias):
+    x = blobs_shaped(11, shape)
+    b = draw(gen(12), (shape[1],), coarse=True) if bias else None
+    fused = lambda x, b: T.bias_act(x, b, "relu")
+    chain = lambda x, b: bias_act_chain(x, b, "relu")
+    assert_same_bits(fused, chain, [x, b], [True, True], 13)
+
+
+FUSED_OPS = {
+    "linear": (T.linear, (5, 2, 4)),
+    "bias_act": (lambda x, w, b, act: T.bias_act(x, b, act), (5, 3, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("activation", ACTIVATION_NAMES)
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("op", sorted(FUSED_OPS))
+def test_the_fused_nodes_leave_their_inputs_untouched(op, bias, activation):
+    """An activation may overwrite the array it is given, so the fused
+    nodes must hand it a fresh one: the bytes of x, W and b stay as they
+    were through the forward and the backward."""
+    fn, x_shape = FUSED_OPS[op]
+    r = gen(21)
+    x = T.Tensor(r.standard_normal(x_shape), requires_grad=True)
+    w = T.Tensor(r.standard_normal((3, 4)), requires_grad=True)
+    b = T.Tensor(r.standard_normal(3), requires_grad=True) if bias else None
+    inputs = [t for t in (x, w, b) if t is not None]
+    before = [t.data.tobytes() for t in inputs]
+    y = fn(x, w, b, activation)
+    assert [t.data.tobytes() for t in inputs] == before
+    T.backward(T.sum_(T.mul(y, T.Tensor(r.standard_normal(y.data.shape)))))
+    assert [t.data.tobytes() for t in inputs] == before
+    assert x.grad is not None
 
 
 # -----------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""A diverging run, a negative ``Narrow`` slice and negative conv padding
-fail with the package's own errors instead of passing silently."""
+"""A diverging run, a negative ``Narrow`` slice, negative conv padding, a
+learning rate that is not a finite positive number and a blobs split
+with no train or no test sample fail with the package's own errors
+instead of passing silently."""
 import numpy as np
 import pytest
 
+from hxnn import experiments as ex
 from hxnn import serialize as S
 from hxnn import tensor as T
 from hxnn import training as tr
@@ -95,3 +98,33 @@ def test_conv_rejects_negative_padding(build):
 def test_conv_with_negative_padding_in_a_file_raises_format_error(layer, tmp_path):
     with pytest.raises(FormatError, match=r"layer 0 \("):
         S.load_model(file_with_cfg(tmp_path, layer, b"padding=1\n", b"padding=-1\n"))
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_train_config_rejects_an_lr_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ConfigError, match="lr="):
+        tr.TrainConfig(lr=lr)
+
+
+def test_lorenz_experiment_with_a_nan_lr_raises_instead_of_reporting_nan():
+    # one batch per epoch: the loss is taken before the NaN update lands
+    cfg = ex.LorenzConfig(num_seeds=1, epochs=1, trajectories=4, steps=200, lr=float("nan"))
+    with pytest.raises(ConfigError, match="lr=nan"):
+        ex.experiment_lorenz_equivariance(cfg)
+
+
+@pytest.mark.parametrize("samples_per_class, train_fraction", [(0, 5 / 6), (1, 5 / 6),
+                                                               (6, 1.0), (6, 0.1)])
+def test_make_rgb_blobs_rejects_an_empty_split(samples_per_class, train_fraction):
+    with pytest.raises(ConfigError, match=f"samples_per_class={samples_per_class}"):
+        tr.make_rgb_blobs(0, samples_per_class=samples_per_class, train_fraction=train_fraction)
+
+
+def test_make_rgb_blobs_keeps_one_sample_on_each_side():
+    ds = tr.make_rgb_blobs(0, samples_per_class=2, size=4)
+    assert len(ds.train_idx) == len(ds.test_idx) == 4
+
+
+def test_blobs_experiment_with_one_sample_per_class_raises_config_error():
+    with pytest.raises(ConfigError, match="0 train"):
+        ex.experiment_blobs(ex.BlobsConfig(samples_per_class=1))
