@@ -11,7 +11,9 @@ The left-multiplication matrix of a fixed element w (the block layout
 that weight-sharing layers instantiate) is derived from the same table,
 so ``multiply`` and ``left_matrix`` share one code path by construction.
 ``multiply_arrays`` applies the table itself to whole (..., n) coefficient
-arrays; it is the quaternion product behind :mod:`hxnn.geometry`.
+arrays; it is the quaternion product behind :mod:`hxnn.geometry`.  It runs
+on coefficient-major copies (one contiguous row per coefficient), each
+element seeing the operations of a loop over (..., n) columns, in order.
 """
 from __future__ import annotations
 
@@ -304,16 +306,24 @@ def multiply_arrays(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     e_0 is the identity) and adds the others in (i, j) order, never
     starting from zero, so quaternion products carry the bits (signed
     zeros too) of the Hamilton formula written out term by term.
+
+    Terms run on coefficient-major copies (a contiguous row per coefficient)
+    with a column loop's IEEE operations, in order: same bits, NaN signs aside.
     """
-    out = x[..., :1] * y
-    for i in range(1, a.n):
-        for j in range(a.n):
-            s, k = a.signs[i, j], a.indices[i, j]
-            if s > 0:
-                out[..., k] += x[..., i] * y[..., j]
-            elif s < 0:
-                out[..., k] -= x[..., i] * y[..., j]
-    return out
+    nd = max(x.ndim, y.ndim)
+    xt, yt = (v.reshape((1,) * (nd - v.ndim) + v.shape).transpose(-1, *range(nd - 1)).copy()
+              for v in (x, y))  # padded to nd axes, the coefficient axis moved first
+    out = xt[:1] * yt
+    term = np.empty(out.shape[1:], out.dtype)
+    r, c = np.nonzero(a.signs[1:])  # the terms with i >= 1, in (i, j) order
+    terms = zip(*(v.tolist() for v in (r + 1, c, a.signs[1:][r, c], a.indices[1:][r, c])))
+    for i, j, s, k in terms:
+        np.multiply(xt[i], yt[j], out=term)
+        if s > 0:
+            out[k] += term
+        else:
+            out[k] -= term
+    return out.transpose(*range(1, nd), 0).copy()
 
 
 # -----------------------------------------------------------------------------

@@ -206,6 +206,16 @@ class LorenzConfig(_Epochs):
     offsets: tuple = (1.0, 5.0, 10.0)
     models: tuple = ("real", "quaternion", "phm", "dual_quaternion")
 
+    def __post_init__(self):  # reject a run that would report nothing or fail after training
+        super().__post_init__()
+        if self.num_seeds < 1:
+            raise ConfigError(f"num_seeds={self.num_seeds}: an experiment runs at least one seed")
+        kinds = tuple(tr.LORENZ_FORECASTERS)
+        if not self.models or not set(self.models) <= set(kinds):
+            raise ConfigError(f"models={self.models!r}: expected one or more of {kinds}")
+        if not self.offsets or not np.isfinite(np.asarray(self.offsets, dtype=float)).all():
+            raise ConfigError(f"offsets={self.offsets!r}: expected one or more finite offsets")
+
 
 @dataclass
 class LorenzReport:

@@ -1,5 +1,6 @@
-"""Tensor ops that the package itself no longer calls, kept as oracles
-for the tests: each is one autodiff node built with ``tensor._node``."""
+"""Ops that the package itself no longer calls, kept as oracles for the
+tests: tensor ops, each one autodiff node built with ``tensor._node``, and
+the algebra product as a loop over (..., n) coefficient columns."""
 import numpy as np
 
 from hxnn import tensor as T
@@ -21,3 +22,18 @@ def log(a: T.Tensor) -> T.Tensor:
 
 def relu(a: T.Tensor) -> T.Tensor:
     return T.bias_act(a, None, "relu")
+
+
+def multiply_arrays_loop(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``algebra.multiply_arrays`` before it ran on coefficient-major copies:
+    one pass over the strided columns ``x[..., i]`` and ``y[..., j]`` per
+    table entry, each coefficient starting from its e_0 * e_k term."""
+    out = x[..., :1] * y
+    for i in range(1, a.n):
+        for j in range(a.n):
+            s, k = a.signs[i, j], a.indices[i, j]
+            if s > 0:
+                out[..., k] += x[..., i] * y[..., j]
+            elif s < 0:
+                out[..., k] -= x[..., i] * y[..., j]
+    return out

@@ -1,0 +1,52 @@
+"""``LorenzConfig`` rejects, at construction, a run that would report
+nothing (no seed, no model, no offset) or fail only after training (an
+unknown model, a non-finite offset)."""
+import pytest
+
+from hxnn import experiments as ex
+from hxnn import training as tr
+from hxnn.cli import main
+from hxnn.errors import ConfigError
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("num_seeds", [0, -2])
+def test_lorenz_config_rejects_fewer_than_one_seed(num_seeds):
+    with pytest.raises(ConfigError, match=f"num_seeds={num_seeds}"):
+        ex.LorenzConfig(num_seeds=num_seeds)
+
+
+@pytest.mark.parametrize("models", [(), ("real", "bogus"), ("Real",)])
+def test_lorenz_config_rejects_no_model_or_an_unknown_one(models):
+    with pytest.raises(ConfigError, match="models=") as info:
+        ex.LorenzConfig(models=models)
+    assert all(kind in str(info.value) for kind in tr.LORENZ_FORECASTERS)
+
+
+@pytest.mark.parametrize("offsets", [(), (NAN,), (1.0, INF), (-INF, 5.0)])
+def test_lorenz_config_rejects_no_offset_or_a_non_finite_one(offsets):
+    with pytest.raises(ConfigError, match="offsets="):
+        ex.LorenzConfig(offsets=offsets)
+
+
+def test_lorenz_config_still_checks_epochs():
+    with pytest.raises(ConfigError, match="epochs=0"):
+        ex.LorenzConfig(epochs=0, models=("real",))
+
+
+@pytest.mark.parametrize("kind", list(tr.LORENZ_FORECASTERS))
+def test_lorenz_config_accepts_each_forecaster_and_finite_offsets(kind):
+    cfg = ex.LorenzConfig(num_seeds=1, models=(kind,), offsets=(0.0, -3.5, 1e6))
+    assert cfg.models == (kind,)
+
+
+@pytest.mark.parametrize("section, line, shown", [("train", "num_seeds = 0", "num_seeds=0"),
+                                                  ("data", "offsets = 1, nan", "offsets=")])
+def test_cli_lorenz_experiment_that_would_do_nothing_or_fail_late_exits_one(
+        section, line, shown, capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    assert main(["experiment", "lorenz", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert shown in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
