@@ -135,6 +135,11 @@ class BlobsConfig(_Epochs):
     lr: float = 3e-3
     early_stop_train_loss: float = 0.02
 
+    def __post_init__(self):  # before any data is made: the convnet pools twice by 2x2
+        super().__post_init__()
+        if self.image_size < 1 or self.image_size % 4:
+            raise ConfigError(f"image_size={self.image_size}: the convnet needs a positive multiple of 4")
+
 
 @dataclass
 class BlobsReport:

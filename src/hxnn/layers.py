@@ -188,6 +188,10 @@ class HAttBlock(Layer):
     h = conv(x); a = conv_1x1(conv(concat(h, h))); y = gate(a) * x.
     ``gate`` is "sigmoid" (bounded gating, the default) or "none"
     (the literal product).
+
+    The fuse filter W keeps its 2c input channels, but conv is linear in
+    its input, so conv(concat(h, h), W) = conv(h, W[:, :c] + W[:, c:]):
+    the fuse takes ``h`` once, through its two filter halves summed.
     """
 
     def __init__(self, algebra: Algebra, channels, kernel=3, gate="sigmoid", rng=None):
@@ -209,7 +213,10 @@ class HAttBlock(Layer):
 
     def forward(self, x):
         h = self.feature(x)
-        a = self.proj(self.fuse(T.concat([h, h], axis=1)))
+        fuse, c, k = self.fuse, self.channels, self.kernel
+        w = T.sum_(T.reshape(fuse.weight(), (c, 2, c, k, k)), axis=1)
+        y = T.conv2d(h, w, stride=fuse.stride, padding=fuse.padding)
+        a = self.proj(T.bias_act(y, fuse.bias, fuse.activation))
         g = T.sigmoid(a) if self.gate == "sigmoid" else a
         return T.mul(g, x)
 

@@ -318,7 +318,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of an NCHW input with an OIkk filter bank,
     with symmetric zero padding.
 
-    The forward copies a strided window view of the zero-padded input
+    The forward reshapes a strided window view of the zero-padded input
     into per-sample (C*kh*kw, L) columns (im2col, L = output pixels) and
     multiplies each by the (O, C*kh*kw) filter matrix; the filter
     gradient is one GEMM per sample, summed over the batch.  The input
@@ -351,8 +351,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: kernel {(kh, kw)} too large for padded input {(hp, wp)}")
     xp = np.zeros((n, c, hp, wp))
     xp[:, :, padding : padding + h, padding : padding + wd] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols2 = windows.transpose(0, 1, 4, 5, 2, 3).copy().reshape(n, c * kh * kw, ho * wo)
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    # a view of xp for a 1x1 kernel at stride 1, else a copy; a reshape that views
+    # overlapping windows is copied too, as matmul would sum it in another order
+    cols2 = np.ascontiguousarray(windows.reshape(n, c * kh * kw, ho * wo))
     wf = w.data.reshape(o, c * kh * kw)
     out = (wf @ cols2).reshape(n, o, ho, wo)
 

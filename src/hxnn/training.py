@@ -245,6 +245,8 @@ def make_rgb_blobs(seed, classes=4, samples_per_class=600, size=16,
     """
     if classes != 4:
         raise ConfigError("the stripe construction defines exactly 4 classes")
+    if size < 1:
+        raise ConfigError(f"size={size}: an image is at least one pixel wide")
     per_train = int(samples_per_class * train_fraction)
     if not 0 < per_train < samples_per_class:
         raise ConfigError(f"samples_per_class={samples_per_class} gives {per_train} train and "
