@@ -243,13 +243,6 @@ def scale(alpha: float, x: HNumber) -> HNumber:
     return HNumber(x.algebra, alpha * x.coeffs)
 
 
-def conjugate(a: Algebra, x: HNumber) -> HNumber:
-    _check_member(a, x)
-    c = x.coeffs.copy()
-    c[1:] = -c[1:]
-    return HNumber(a, c)
-
-
 @lru_cache(maxsize=None)
 def left_pattern(a: Algebra) -> LeftMatrixPattern:
     """Sign/weight-index layout of the left-multiplication matrix of ``a``.

@@ -218,13 +218,18 @@ DATASET_TASKS = {"blobs": "classification", "lorenz": "regression"}
 def read_run(cfg: dict, seed_override=None):
     """Read the config of ``hxnn train`` and ``hxnn eval``: (dataset
     maker, ``TrainConfig``, model builder).  Every key is read before
-    anything is built, and a key none of the three reads, or a task the
-    dataset's targets do not fit, raises ``ConfigError``, so one file
-    serves both commands."""
+    anything is built, and a key none of the three reads, a convnet on
+    data it cannot take (not blobs, or an image size its pools do not
+    tile) or a task the dataset's targets do not fit raises
+    ``ConfigError``, so one file serves both commands."""
     reads = Reads(cfg)
     run = read_dataset(reads), train_config_from(reads, seed_override), read_model(reads)
     reads.reject_unread("train and eval")
     dataset, task = _get(cfg, "data", "dataset"), run[1].task
+    if _get(cfg, "model", "kind") == "convnet":
+        if dataset != "blobs":
+            raise ConfigError(f"model.kind = convnet needs dataset = blobs, not {dataset}")
+        tr.check_convnet_size(run[0].keywords["size"], "data.size")
     if task != DATASET_TASKS[dataset]:
         raise ConfigError(f"train.task = {task} does not fit dataset {dataset}: "
                           f"set task = {DATASET_TASKS[dataset]} in [train]")

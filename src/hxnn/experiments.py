@@ -137,8 +137,7 @@ class BlobsConfig(_Epochs):
 
     def __post_init__(self):  # before any data is made: the convnet pools twice by 2x2
         super().__post_init__()
-        if self.image_size < 1 or self.image_size % 4:
-            raise ConfigError(f"image_size={self.image_size}: the convnet needs a positive multiple of 4")
+        tr.check_convnet_size(self.image_size, "image_size")
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Kronecker-sum layers: W = sum_i A_i (x) F_i over n grid matrices
 A_i (n, n), held as one (n, n, n) tensor, and n weight blocks F_i, held
-as one (n, *block) tensor, built by ``tensor.kron_sum``.
+as one (n, *block) tensor.  Conv layers build W with ``tensor.kron_sum``;
+FC and graph layers apply it through ``tensor.kron_linear``, one node
+that builds W^T itself.
 
 ``KronLayer`` holds that state; ``KronLinear``, ``KronConv2D`` and
 ``KronGraph`` are the one FC, conv and graph forward of both layer
@@ -80,7 +82,9 @@ class KronLayer(Layer):
 
     The grids are trained exactly when ``a`` requires grad: constant
     algebra grids and frozen learned grids do not.  Subclasses define
-    ``weight()``, which the forward passes call.
+    ``weight()``, W as a ``kron_sum`` node, which the conv forward
+    passes call; the FC and graph forwards take ``a`` and ``f``
+    themselves.
     """
 
     def __init__(self, a, block, fan_in, out, bias, rng):
@@ -104,9 +108,10 @@ class KronLayer(Layer):
 
 
 class KronLinear(KronLayer):
-    """y = act(W x + b) with W of shape (s, d), from (s/n, d/n) blocks.
-    A (batch, tokens, d) input is folded to (batch * tokens, d) and
-    unfolded after."""
+    """y = act(W x + b) with W of shape (s, d), from (s/n, d/n) blocks,
+    as one ``kron_linear`` node that builds W^T from ``a`` and ``f``
+    (``weight()`` is not called).  A (batch, tokens, d) input is folded
+    to (batch * tokens, d) and unfolded after."""
 
     def __init__(self, a, d, s, activation, bias, rng, fan_in):
         d_blk = _check_divisible(d, len(a.data), "input features d")
@@ -116,7 +121,7 @@ class KronLinear(KronLayer):
         super().__init__(a, (s_blk, d_blk), fan_in, s, bias, rng)
 
     def forward(self, x):
-        return T.linear(x, self.weight(), self.bias, self.activation)
+        return T.kron_linear(x, self.a, self.f, self.bias, self.activation)
 
 
 class KronConv2D(KronLayer):
@@ -248,7 +253,9 @@ class Graph:
 
 class KronGraph(Layer):
     """Graph aggregation through an inner ``KronLinear`` (no activation,
-    with bias): H' = act(A_hat @ H @ W^T + b)."""
+    with bias): H' = act(A_hat @ H @ W^T + b).  H W^T is one
+    ``kron_linear`` node over the inner layer's ``a`` and ``f``; the
+    aggregation and the bias and activation are one node each."""
 
     def __init__(self, inner: KronLinear, activation):
         self.inner = inner
@@ -260,7 +267,7 @@ class KronGraph(Layer):
         h = features if features is not None else T.Tensor(graph.features)
         if h.data.shape[1] != self.d:
             raise ShapeError(f"expected (nodes, {self.d}), got {h.data.shape}")
-        mixed = T.linear(h, self.inner.weight(), None, "none")
+        mixed = T.kron_linear(h, self.inner.a, self.inner.f, None, "none")
         agg = T.matmul(T.Tensor(graph.normalized_adjacency), mixed)
         return T.bias_act(agg, self.inner.bias, self.activation)
 
@@ -275,15 +282,3 @@ class HGraphConvLayer(KronGraph):
         self.algebra = algebra
         super().__init__(HFCLayer(algebra, d, s, activation="none", bias=True, rng=rng),
                          activation)
-
-
-def pad_channels(x: T.Tensor, n: int) -> T.Tensor:
-    """Explicitly zero-pad the channel axis of an NCHW tensor up to the
-    next multiple of n.  Never applied implicitly."""
-    c = x.data.shape[1]
-    rem = (-c) % n
-    if rem == 0:
-        return x
-    shape = list(x.data.shape)
-    shape[1] = rem
-    return T.concat([x, T.Tensor(np.zeros(shape))], axis=1)

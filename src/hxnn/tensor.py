@@ -11,13 +11,15 @@ no views, float64 everywhere.
 Every recorded node costs a Python closure, a slot in the topological
 sort and a dictionary entry, which on small layers outweighs the
 arithmetic.  So the chains every training step records are fused into
-one node each: ``linear`` (act(x W^T + b)), ``bias_act`` (act(x + b)
-after a conv or a graph aggregation) and, in ``training``, the MSE and
-log-softmax-NLL losses.  Each fused node performs the same numpy
-operations as the chain it replaces, in the same order, so its value and
-gradients are the same to the bit.  An activation may overwrite the
-array it is given, so each fused node hands it a fresh pre-activation,
-never an input's data: relu writes its output once, into that array.
+one node each: ``kron_linear`` (act(x W^T + b) with W = kron_sum(a, f),
+every Kronecker FC and graph layer), ``bias_act`` (act(x + b) after a
+conv or a graph aggregation) and, in ``training``, the MSE and
+log-softmax-NLL losses; ``linear`` is the dense case of ``kron_linear``.
+Each fused node performs the same numpy operations as the chain it
+replaces, in the same order, so its value and gradients are the same to
+the bit.  An activation may overwrite the array it is given, so each
+fused node hands it a fresh pre-activation, never an input's data: relu
+writes its output once, into that array.
 """
 from __future__ import annotations
 
@@ -274,6 +276,31 @@ def blockwise_kron2d(a: Tensor, f: Tensor) -> Tensor:
     return _node(out, (a, f), vjp)
 
 
+def _kron_cells(a, f):
+    """The block cells of W = sum_i a[i] (x) f[i], from one GEMM with
+    inner dimension n: row (r, c) of the (n*n, p*q*k...) result is
+    cell (r, c) of W, sum_i A_i[r, c] F_i.  Also returns the grid and
+    block matrices the GEMM ran on, which the vjp reuses."""
+    n = f.data.shape[0] if f.data.ndim in (3, 5) else 0
+    if n == 0 or a.data.shape != (n, n, n):
+        raise ShapeError(f"kron_sum: grids {a.data.shape} and blocks {f.data.shape}")
+    a2 = a.data.reshape(n, n * n)
+    f2 = f.data.reshape(n, -1)  # [i, (p, q, k...)]
+    return a2.T @ f2, a2, f2
+
+
+def _kron_cell_grads(learn_a, f, a2, f2, g2):
+    """The gradients of ``a`` (only when ``learn_a``) and ``f`` from g2,
+    the gradient of the cells as one contiguous (n*n, p*q*k...) array."""
+    # Written as G'^T A^T, BLAS accumulates the n*n cells of each block
+    # in row-major order (blocks of one entry excepted, which take its
+    # vector path), so an algebra-bound layer's block gradients equal,
+    # bit for bit, the sum of its +-G cells taken one by one.
+    gf = (g2.T @ a2.T).T.reshape(f.data.shape)
+    n = len(a2)
+    return ((f2 @ g2.T).reshape(n, n, n), gf) if learn_a else (gf,)
+
+
 def kron_sum(a, f) -> Tensor:
     """Kronecker sum W = sum_i A_i (x) F_i of the n grid matrices
     A_i = a[i] of one (n, n, n) tensor ``a`` and the n blocks F_i = f[i]
@@ -287,25 +314,16 @@ def kron_sum(a, f) -> Tensor:
     grad (constant algebra grids never do); only then is ``a`` a parent
     of the node, which otherwise has ``f`` alone.
     """
-    n = f.data.shape[0] if f.data.ndim in (3, 5) else 0
-    if n == 0 or a.data.shape != (n, n, n):
-        raise ShapeError(f"kron_sum: grids {a.data.shape} and blocks {f.data.shape}")
-    p, q, *k = f.data.shape[1:]
-    a2 = a.data.reshape(n, n * n)
-    f2 = f.data.reshape(n, -1)  # [i, (p, q, k...)]
+    cells2, a2, f2 = _kron_cells(a, f)
+    n, p, q, *k = f.data.shape
     cells = (n, n, p, q, *k)
     perm = (0, 2, 1, 3, *range(4, len(cells)))  # (r, c, p, q) <-> (r, p, c, q)
-    out = (a2.T @ f2).reshape(cells).transpose(perm).reshape(n * p, n * q, *k)
+    out = cells2.reshape(cells).transpose(perm).reshape(n * p, n * q, *k)
     learn_a = a.requires_grad
 
     def vjp(g):
         g2 = g.reshape(n, p, n, q, *k).transpose(perm).reshape(n * n, -1)
-        # Written as G'^T A^T, BLAS accumulates the n*n cells of each block
-        # in row-major order (blocks of one entry excepted, which take its
-        # vector path), so an algebra-bound layer's block gradients equal,
-        # bit for bit, the sum of its +-G cells taken one by one.
-        gf = (g2.T @ a2.T).T.reshape(f.data.shape)
-        return ((f2 @ g2.T).reshape(n, n, n), gf) if learn_a else (gf,)
+        return _kron_cell_grads(learn_a, f, a2, f2, g2)
 
     return _node(out, (a, f) if learn_a else (f,), vjp)
 
@@ -476,32 +494,78 @@ def _biased(y, b):
     return y + b.data[None, :, None, None], (0, 2, 3)
 
 
+def _affine(x, wt, b, activation, weights, weight_grads):
+    """The node act(x2 wt + b), with x of shape (batch, d) or (batch,
+    tokens, d) folded to the 2-d x2, the contiguous (d, s) matrix ``wt``
+    and a length-s bias ``b`` or None.  ``weights`` are the parent
+    tensors ``wt`` was built from, and ``weight_grads`` maps x2^T g, the
+    gradient of ``wt``, to theirs; it runs only if one of them requires
+    grad.  The input gradient g wt^T is computed only if x requires
+    grad, and the bias gradient is the column sums of g."""
+    xd = x.data
+    if xd.ndim not in (2, 3) or xd.shape[-1] != wt.shape[0]:
+        raise ShapeError(f"linear: shapes {xd.shape} and {wt.shape[::-1]}")
+    x2 = xd if xd.ndim == 2 else xd.reshape(xd.shape[0] * xd.shape[1], xd.shape[2])
+    s = wt.shape[1]
+    pre, axes = _biased(x2 @ wt, b)
+    y, back = ACTIVATIONS[activation](pre)
+    learn_w = any(w.requires_grad for w in weights)
+
+    def vjp(g):
+        g = back(g.reshape(len(x2), s))  # not pre.shape, which would keep pre alive
+        gx = (g @ wt.T).reshape(xd.shape) if x.requires_grad else None
+        gw = weight_grads(x2.T @ g) if learn_w else (None,) * len(weights)
+        return (gx, *gw) if b is None else (gx, *gw, g.sum(axis=axes))
+
+    out = y if xd.ndim == 2 else y.reshape(*xd.shape[:2], s)
+    return _node(out, (x, *weights) if b is None else (x, *weights, b), vjp)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None, activation: str) -> Tensor:
     """act(x W^T + b) for x of shape (batch, d) or (batch, tokens, d),
     W of shape (s, d) and a length-s bias ``b`` or None; ``activation``
     is a key of ``ACTIVATIONS``.  Tokens are folded into the batch.
 
-    The product runs against a contiguous copy of W^T, and the
-    vector-Jacobian product takes the GEMMs of the transpose, matmul,
-    bias and activation chain it replaces: gx = g (W^T)^T, computed only
-    if x requires grad, gW = (x^T g)^T and gb = the column sums of g.
+    The dense case of ``kron_linear``: the product runs against a
+    contiguous copy of W^T, and the vector-Jacobian product takes the
+    GEMMs of the transpose, matmul, bias and activation chain it
+    replaces: gx = g (W^T)^T, computed only if x requires grad,
+    gW = (x^T g)^T and gb = the column sums of g.
     """
-    xd, wd = x.data, w.data
-    if xd.ndim not in (2, 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[1]:
-        raise ShapeError(f"linear: shapes {xd.shape} and {wd.shape}")
-    x2 = xd if xd.ndim == 2 else xd.reshape(xd.shape[0] * xd.shape[1], xd.shape[2])
-    wt = wd.T.copy()
-    pre, axes = _biased(x2 @ wt, b)
-    y, back = ACTIVATIONS[activation](pre)
+    if w.data.ndim != 2:
+        raise ShapeError(f"linear: shapes {x.data.shape} and {w.data.shape}")
+    return _affine(x, w.data.T.copy(), b, activation, (w,), lambda m: (m.T.copy(),))
 
-    def vjp(g):
-        g = back(g.reshape(len(x2), wd.shape[0]))  # not pre.shape, which would keep pre alive
-        gx = (g @ wt.T).reshape(xd.shape) if x.requires_grad else None
-        gw = (x2.T @ g).T.copy() if w.requires_grad else None
-        return (gx, gw) if b is None else (gx, gw, g.sum(axis=axes))
 
-    out = y if xd.ndim == 2 else y.reshape(*xd.shape[:2], wd.shape[0])
-    return _node(out, (x, w) if b is None else (x, w, b), vjp)
+def kron_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None, activation: str) -> Tensor:
+    """act(x W^T + b) with W = kron_sum(a, f) of shape (n*p, n*q), from
+    (n, n, n) grids ``a`` and (n, p, q) blocks ``f``, in one node: the
+    value and gradients of ``linear(x, kron_sum(a, f), b, activation)``,
+    bit for bit.
+
+    The forward lays the cells of ``_kron_cells`` straight out as a
+    contiguous W^T, one copy where the two nodes made two (W, then W^T).
+    The vjp rearranges x^T g, the gradient of W^T, into one contiguous
+    array of cells, which ``kron_sum``'s cell GEMMs turn into the
+    gradient of ``f``, and of ``a`` only when ``a`` requires grad; only
+    then is ``a`` a parent.  Both rearranged arrays go through
+    ``np.ascontiguousarray``: where n = 1 or p = 1 the W^T reshape is a
+    strided view, on which BLAS would take its transposed path and change
+    last bits.  (The cell-gradient reshape is a view only where it is
+    contiguous already; the copy keeps it so for any layout.)
+    """
+    if f.data.ndim != 3:
+        raise ShapeError(f"kron_linear: grids {a.data.shape} and blocks {f.data.shape}")
+    cells2, a2, f2 = _kron_cells(a, f)
+    n, p, q = f.data.shape
+    wt = np.ascontiguousarray(cells2.reshape(n, n, p, q).transpose(1, 3, 0, 2).reshape(n * q, n * p))
+    learn_a = a.requires_grad
+
+    def weight_grads(m):  # m = x^T g, laid out as W^T: [(c, q), (r, p)]
+        g2 = np.ascontiguousarray(m.reshape(n, q, n, p).transpose(2, 0, 3, 1).reshape(n * n, p * q))
+        return _kron_cell_grads(learn_a, f, a2, f2, g2)
+
+    return _affine(x, wt, b, activation, (a, f) if learn_a else (f,), weight_grads)
 
 
 def bias_act(x: Tensor, b: Tensor | None, activation: str) -> Tensor:

@@ -465,6 +465,14 @@ def linear_probe_accuracy(dataset: Dataset, ridge=1e-3) -> float:
 # model builders
 
 
+def check_convnet_size(size, what):
+    """Raise ``ConfigError`` unless ``size``, named ``what``, is a
+    positive multiple of 4: the side of the images ``convnet``'s two 2x2
+    pools can tile."""
+    if size < 1 or size % 4:
+        raise ConfigError(f"{what}={size}: the convnet needs a positive multiple of 4")
+
+
 def convnet(family, channels, classes, activation, rng) -> Network:
     """Three 3x3 conv stages over ``family`` (see ``phlayers.conv_layer``)
     + pooled real linear head on 3-channel images."""

@@ -1,8 +1,10 @@
-"""Ops that the package itself no longer calls, kept as oracles for the
-tests: tensor ops, each one autodiff node built with ``tensor._node``, and
-the algebra product as a loop over (..., n) coefficient columns."""
+"""Ops that the package itself no longer calls, kept as oracles and
+fixtures for the tests: tensor ops, each one autodiff node built with
+``tensor._node`` or over the package's own ops, and algebra helpers, the
+product as a loop over (..., n) coefficient columns among them."""
 import numpy as np
 
+from hxnn import algebra as alg
 from hxnn import tensor as T
 
 
@@ -22,6 +24,26 @@ def log(a: T.Tensor) -> T.Tensor:
 
 def relu(a: T.Tensor) -> T.Tensor:
     return T.bias_act(a, None, "relu")
+
+
+def pad_channels(x: T.Tensor, n: int) -> T.Tensor:
+    """Explicitly zero-pad the channel axis of an NCHW tensor up to the
+    next multiple of n.  Never applied implicitly."""
+    c = x.data.shape[1]
+    rem = (-c) % n
+    if rem == 0:
+        return x
+    shape = list(x.data.shape)
+    shape[1] = rem
+    return T.concat([x, T.Tensor(np.zeros(shape))], axis=1)
+
+
+def conjugate(a: alg.Algebra, x: alg.HNumber) -> alg.HNumber:
+    """Negate every imaginary coefficient of ``x``, a member of ``a``."""
+    alg._check_member(a, x)
+    c = x.coeffs.copy()
+    c[1:] = -c[1:]
+    return alg.HNumber(a, c)
 
 
 def multiply_arrays_loop(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
