@@ -407,10 +407,12 @@ def find_zero_divisor(a: Algebra, budget: int = 100_000):
     ``budget`` caps the number of candidate pairs examined: only the
     first ceil(budget / m) of the m candidate rows are multiplied out.
     """
+    if budget < 0:
+        raise ConfigError(f"budget={budget}: must not be negative")
     n = a.n
     cands = _basis_and_pair_sums(n)
     m = len(cands)
-    rows = max(0, -(-budget // m))
+    rows = -(-budget // m)
     prods = multiply_arrays(a, cands[:rows, None, :], cands[None, :, :])
     hits = np.flatnonzero(np.all(prods == 0.0, axis=2))
     if len(hits) == 0 or hits[0] >= budget:

@@ -54,18 +54,6 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def serialize_config(cfg: dict) -> str:
-    lines = []
-    for section in SECTIONS:
-        if section not in cfg:
-            continue
-        lines.append(f"[{section}]")
-        for key, value in cfg[section].items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
@@ -205,10 +193,6 @@ def read_model(cfg: dict):
 
         return mlp
     raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def model_from(cfg: dict, feature_dim=None, target_dim=None) -> tr.Network:
-    return read_model(cfg)(feature_dim, target_dim)
 
 
 # The one training task each dataset's targets fit.

@@ -217,6 +217,9 @@ class LorenzConfig(_Epochs):
         kinds = tuple(tr.LORENZ_FORECASTERS)
         if not self.models or not set(self.models) <= set(kinds):
             raise ConfigError(f"models={self.models!r}: expected one or more of {kinds}")
+        for model in self.models:  # each forecaster reads window minus the steps it drops
+            if self.window - tr.LORENZ_FORECASTERS[model][2] < 1:
+                raise ConfigError(f"window={self.window}: too short for model {model!r}")
         if not self.offsets or not np.isfinite(np.asarray(self.offsets, dtype=float)).all():
             raise ConfigError(f"offsets={self.offsets!r}: expected one or more finite offsets")
 

@@ -14,7 +14,7 @@ arithmetic.  So the chains every training step records are fused into
 one node each: ``kron_linear`` (act(x W^T + b) with W = kron_sum(a, f),
 every Kronecker FC and graph layer), ``bias_act`` (act(x + b) after a
 conv or a graph aggregation) and, in ``training``, the MSE and
-log-softmax-NLL losses; ``linear`` is the dense case of ``kron_linear``.
+log-softmax-NLL losses.
 Each fused node performs the same numpy operations as the chain it
 replaces, in the same order, so its value and gradients are the same to
 the bit.  An activation may overwrite the array it is given, so each
@@ -438,7 +438,7 @@ def avg_pool2d(x: Tensor, window: int) -> Tensor:
 # nonlinearities
 #
 # Each activation maps an array to its value and to the function that
-# carries a gradient back through it; ``bias_act`` and ``linear`` apply
+# carries a gradient back through it; ``bias_act`` and ``kron_linear`` apply
 # them.  An activation may overwrite the array it is given (relu does),
 # so callers pass a fresh array that nothing else holds.
 
@@ -494,78 +494,50 @@ def _biased(y, b):
     return y + b.data[None, :, None, None], (0, 2, 3)
 
 
-def _affine(x, wt, b, activation, weights, weight_grads):
-    """The node act(x2 wt + b), with x of shape (batch, d) or (batch,
-    tokens, d) folded to the 2-d x2, the contiguous (d, s) matrix ``wt``
-    and a length-s bias ``b`` or None.  ``weights`` are the parent
-    tensors ``wt`` was built from, and ``weight_grads`` maps x2^T g, the
-    gradient of ``wt``, to theirs; it runs only if one of them requires
-    grad.  The input gradient g wt^T is computed only if x requires
-    grad, and the bias gradient is the column sums of g."""
-    xd = x.data
-    if xd.ndim not in (2, 3) or xd.shape[-1] != wt.shape[0]:
-        raise ShapeError(f"linear: shapes {xd.shape} and {wt.shape[::-1]}")
-    x2 = xd if xd.ndim == 2 else xd.reshape(xd.shape[0] * xd.shape[1], xd.shape[2])
-    s = wt.shape[1]
-    pre, axes = _biased(x2 @ wt, b)
-    y, back = ACTIVATIONS[activation](pre)
-    learn_w = any(w.requires_grad for w in weights)
-
-    def vjp(g):
-        g = back(g.reshape(len(x2), s))  # not pre.shape, which would keep pre alive
-        gx = (g @ wt.T).reshape(xd.shape) if x.requires_grad else None
-        gw = weight_grads(x2.T @ g) if learn_w else (None,) * len(weights)
-        return (gx, *gw) if b is None else (gx, *gw, g.sum(axis=axes))
-
-    out = y if xd.ndim == 2 else y.reshape(*xd.shape[:2], s)
-    return _node(out, (x, *weights) if b is None else (x, *weights, b), vjp)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None, activation: str) -> Tensor:
-    """act(x W^T + b) for x of shape (batch, d) or (batch, tokens, d),
-    W of shape (s, d) and a length-s bias ``b`` or None; ``activation``
-    is a key of ``ACTIVATIONS``.  Tokens are folded into the batch.
-
-    The dense case of ``kron_linear``: the product runs against a
-    contiguous copy of W^T, and the vector-Jacobian product takes the
-    GEMMs of the transpose, matmul, bias and activation chain it
-    replaces: gx = g (W^T)^T, computed only if x requires grad,
-    gW = (x^T g)^T and gb = the column sums of g.
-    """
-    if w.data.ndim != 2:
-        raise ShapeError(f"linear: shapes {x.data.shape} and {w.data.shape}")
-    return _affine(x, w.data.T.copy(), b, activation, (w,), lambda m: (m.T.copy(),))
-
-
 def kron_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None, activation: str) -> Tensor:
     """act(x W^T + b) with W = kron_sum(a, f) of shape (n*p, n*q), from
-    (n, n, n) grids ``a`` and (n, p, q) blocks ``f``, in one node: the
-    value and gradients of ``linear(x, kron_sum(a, f), b, activation)``,
-    bit for bit.
+    (n, n, n) grids ``a`` and (n, p, q) blocks ``f``, for x of shape
+    (batch, n*q) or (batch, tokens, n*q), tokens folded into the batch:
+    the value and gradients of the kron_sum, transpose, matmul, bias and
+    activation chain in one node, bit for bit.
 
     The forward lays the cells of ``_kron_cells`` straight out as a
-    contiguous W^T, one copy where the two nodes made two (W, then W^T).
-    The vjp rearranges x^T g, the gradient of W^T, into one contiguous
-    array of cells, which ``kron_sum``'s cell GEMMs turn into the
-    gradient of ``f``, and of ``a`` only when ``a`` requires grad; only
-    then is ``a`` a parent.  Both rearranged arrays go through
-    ``np.ascontiguousarray``: where n = 1 or p = 1 the W^T reshape is a
-    strided view, on which BLAS would take its transposed path and change
-    last bits.  (The cell-gradient reshape is a view only where it is
-    contiguous already; the copy keeps it so for any layout.)
+    contiguous W^T.  The vjp computes g (W^T)^T only if x requires grad,
+    and rearranges x^T g, the gradient of W^T, into one contiguous array
+    of cells, which ``kron_sum``'s cell GEMMs turn into the gradient of
+    ``f``, and of ``a`` only when ``a`` requires grad (only then is it a
+    parent).  Both rearranged arrays are made contiguous: where n = 1 or
+    p = 1 the W^T reshape is a strided view, on which BLAS would take its
+    transposed path and change last bits.
     """
     if f.data.ndim != 3:
         raise ShapeError(f"kron_linear: grids {a.data.shape} and blocks {f.data.shape}")
     cells2, a2, f2 = _kron_cells(a, f)
     n, p, q = f.data.shape
+    xd = x.data
+    if xd.ndim not in (2, 3) or xd.shape[-1] != n * q:
+        raise ShapeError(f"kron_linear: shapes {xd.shape} and {(n * p, n * q)}")
     wt = np.ascontiguousarray(cells2.reshape(n, n, p, q).transpose(1, 3, 0, 2).reshape(n * q, n * p))
+    x2 = xd if xd.ndim == 2 else xd.reshape(xd.shape[0] * xd.shape[1], xd.shape[2])
+    pre, axes = _biased(x2 @ wt, b)
+    y, back = ACTIVATIONS[activation](pre)
     learn_a = a.requires_grad
+    weights = (a, f) if learn_a else (f,)
+    learn_w = learn_a or f.requires_grad
 
-    def weight_grads(m):  # m = x^T g, laid out as W^T: [(c, q), (r, p)]
-        g2 = np.ascontiguousarray(m.reshape(n, q, n, p).transpose(2, 0, 3, 1).reshape(n * n, p * q))
-        return _kron_cell_grads(learn_a, f, a2, f2, g2)
+    def vjp(g):
+        g = back(g.reshape(len(x2), n * p))  # not pre.shape, which would keep pre alive
+        gx = (g @ wt.T).reshape(xd.shape) if x.requires_grad else None
+        if learn_w:  # x^T g, laid out as W^T: [(c, q), (r, p)]
+            m = (x2.T @ g).reshape(n, q, n, p)
+            g2 = np.ascontiguousarray(m.transpose(2, 0, 3, 1).reshape(n * n, p * q))
+            gw = _kron_cell_grads(learn_a, f, a2, f2, g2)
+        else:
+            gw = (None,) * len(weights)
+        return (gx, *gw) if b is None else (gx, *gw, g.sum(axis=axes))
 
-    return _affine(x, wt, b, activation, (a, f) if learn_a else (f,), weight_grads)
+    out = y if xd.ndim == 2 else y.reshape(*xd.shape[:2], n * p)
+    return _node(out, (x, *weights) if b is None else (x, *weights, b), vjp)
 
 
 def bias_act(x: Tensor, b: Tensor | None, activation: str) -> Tensor:

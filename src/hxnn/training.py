@@ -61,8 +61,12 @@ class TrainConfig:
             raise ConfigError(f"batch_size={self.batch_size}: must be at least 1")
         if self.epochs < 0:
             raise ConfigError(f"epochs={self.epochs}: must not be negative")
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ConfigError(f"lr={self.lr!r}: must be a finite positive number")
+        for key, value in (("lr", self.lr), ("eps", self.eps)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{key}={value!r}: must be a finite positive number")
+        for key, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:  # NaN fails too
+                raise ConfigError(f"{key}={value!r}: must be in [0, 1)")
 
 
 @dataclass
@@ -319,12 +323,6 @@ def lorenz_trajectories(seed, count, steps, dt=0.01, sample_every=10,
     test_mask = starts // samples >= count - n_test_traj  # test trajectories come last
     return Dataset(inputs, targets,
                    np.flatnonzero(~test_mask), np.flatnonzero(test_mask))
-
-
-def translate_dataset(ds: Dataset, offset: float) -> Dataset:
-    """A copy with the scalar offset added to every coordinate of inputs
-    and targets (exact elementwise shift)."""
-    return Dataset(ds.inputs + offset, ds.targets + offset, ds.train_idx, ds.test_idx)
 
 
 # -----------------------------------------------------------------------------

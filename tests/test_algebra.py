@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hxnn import algebra as alg
-from hxnn.errors import AlgebraMismatch
+from hxnn.cli import main
+from hxnn.errors import AlgebraMismatch, ConfigError
 from oracle_ops import conjugate
 
 # Canonical left-multiplication layouts, transcribed row by row from the
@@ -244,6 +245,15 @@ def test_zero_divisors_by_algebra():
 
 def test_zero_divisor_budget_zero_finds_nothing():
     assert alg.find_zero_divisor(alg.builtin("sedenion"), budget=0) is None
+
+
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_zero_divisor_search_rejects_a_negative_budget(budget, capsys):
+    with pytest.raises(ConfigError, match=f"budget={budget}"):
+        alg.find_zero_divisor(alg.builtin("sedenion"), budget=budget)
+    assert main(["algebra", "zerodiv", "sedenion", "--budget", str(budget)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"budget={budget}" in err
 
 
 def test_zero_divisor_search_multiplies_only_the_rows_its_budget_reaches():

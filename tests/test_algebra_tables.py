@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hxnn import algebra as alg
+from hxnn.errors import ConfigError
 
 # sha256 of (dtype, shape, bytes) of: signs and indices; the left pattern's
 # signs and weight indices; the grid matrices in order
@@ -282,6 +283,10 @@ def test_zero_divisor_search_matches_loop_oracle(table, budget):
         at = cands.index(pair[0]) * len(cands) + cands.index(pair[1])
         budgets += [at, at + 1]
     for b in budgets:
+        if b < 0:  # the oracle would search nothing; the library rejects the budget
+            with pytest.raises(ConfigError, match=f"budget={b}"):
+                alg.find_zero_divisor(a, b)
+            continue
         pair = alg.find_zero_divisor(a, b)
         got = None if pair is None else (pair[0].coeffs.tolist(), pair[1].coeffs.tolist())
         assert got == oracle_find_zero_divisor(a, b), b

@@ -1,12 +1,14 @@
 """The fused graph nodes against the unfused chains they replaced.
 
-``T.linear``, ``T.bias_act``, ``training.mse`` and
+``T.kron_linear``, ``T.bias_act``, ``training.mse`` and
 ``training.cross_entropy`` each record one node where the layers used to
 record a chain of transpose, matmul, bias, activation, negation, sum and
 scale nodes.  The chains are kept here, as they were written, and serve
 as oracles: every value and every gradient must match them to the bit,
-on the same build, alone and through whole training runs.  The tests at
-the end cover the guards that came with the fused nodes: a second
+on the same build, alone and through whole training runs.  The one-op
+tests run ``kron_linear`` at n = 1 with a grid of ones, where W is the
+single block; ``tests/test_kron_linear.py`` covers larger n.  The tests
+at the end cover the guards that came with the fused nodes: a second
 backward through a freed graph, empty loss batches, property checks
 with no random samples and non-integer algebra indices.
 """
@@ -28,6 +30,7 @@ from hxnn.errors import ShapeError
 from oracle_ops import add, exp, log
 
 ACTIVATION_NAMES = ("relu", "sigmoid", "none")
+ONE = T.Tensor(np.ones((1, 1, 1)))  # the n = 1 grid: W = kron_sum(ONE, f) = f[0]
 
 
 def gen(seed):
@@ -187,10 +190,10 @@ def test_linear_matches_the_transpose_matmul_bias_activation_chain(
         seed, activation, tokens, bias, x_grad, coarse, rows, t, d, s):
     r = gen(seed)
     x = draw(r, (rows, t, d) if tokens else (rows, d), coarse)
-    w, b = draw(r, (s, d), coarse), draw(r, (s,), coarse) if bias else None
-    fused = lambda x, w, b: T.linear(x, w, b, activation)
-    chain = lambda x, w, b: linear_chain(x, w, b, activation)
-    assert_same_bits(fused, chain, [x, w, b], [x_grad, True, True], seed + 1)
+    f, b = draw(r, (1, s, d), coarse), draw(r, (s,), coarse) if bias else None
+    fused = lambda x, f, b: T.kron_linear(x, ONE, f, b, activation)
+    chain = lambda x, f, b: linear_chain(x, T.reshape(f, (s, d)), b, activation)
+    assert_same_bits(fused, chain, [x, f, b], [x_grad, True, True], seed + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,8 +258,8 @@ def test_the_linear_vjp_does_not_keep_the_pre_activation_alive(activation, monke
 
     monkeypatch.setitem(T.ACTIVATIONS, "spy", spy)
     x = T.Tensor(gen(0).standard_normal((6, 4)), requires_grad=True)
-    w = T.Tensor(gen(1).standard_normal((3, 4)), requires_grad=True)
-    y = T.linear(x, w, T.Tensor(np.zeros(3), requires_grad=True), "spy")
+    f = T.Tensor(gen(1).standard_normal((1, 3, 4)), requires_grad=True)
+    y = T.kron_linear(x, ONE, f, T.Tensor(np.zeros(3), requires_grad=True), "spy")
     gc.collect()
     assert y._vjp is not None
     if activation == "relu":
@@ -285,8 +288,8 @@ def test_bias_relu_matches_the_chain_at_the_blobs_shapes(shape, bias):
 
 
 FUSED_OPS = {
-    "linear": (T.linear, (5, 2, 4)),
-    "bias_act": (lambda x, w, b, act: T.bias_act(x, b, act), (5, 3, 2, 2)),
+    "linear": (lambda x, f, b, act: T.kron_linear(x, ONE, f, b, act), (5, 2, 4)),
+    "bias_act": (lambda x, f, b, act: T.bias_act(x, b, act), (5, 3, 2, 2)),
 }
 
 
@@ -295,16 +298,16 @@ FUSED_OPS = {
 @pytest.mark.parametrize("op", sorted(FUSED_OPS))
 def test_the_fused_nodes_leave_their_inputs_untouched(op, bias, activation):
     """An activation may overwrite the array it is given, so the fused
-    nodes must hand it a fresh one: the bytes of x, W and b stay as they
+    nodes must hand it a fresh one: the bytes of x, f and b stay as they
     were through the forward and the backward."""
     fn, x_shape = FUSED_OPS[op]
     r = gen(21)
     x = T.Tensor(r.standard_normal(x_shape), requires_grad=True)
-    w = T.Tensor(r.standard_normal((3, 4)), requires_grad=True)
+    f = T.Tensor(r.standard_normal((1, 3, 4)), requires_grad=True)
     b = T.Tensor(r.standard_normal(3), requires_grad=True) if bias else None
-    inputs = [t for t in (x, w, b) if t is not None]
+    inputs = [t for t in (x, f, b) if t is not None]
     before = [t.data.tobytes() for t in inputs]
-    y = fn(x, w, b, activation)
+    y = fn(x, f, b, activation)
     assert [t.data.tobytes() for t in inputs] == before
     T.backward(T.sum_(T.mul(y, T.Tensor(r.standard_normal(y.data.shape)))))
     assert [t.data.tobytes() for t in inputs] == before

@@ -1,11 +1,13 @@
-"""``T.kron_linear`` against the two nodes it replaces, and the nodes a
-Kronecker linear layer records.
+"""``T.kron_linear`` against the unfused chain it replaces, and the nodes
+a Kronecker linear layer records.
 
 The fused node must give the value and every gradient of
-``T.linear(x, T.kron_sum(a, f), b, activation)`` to the bit: the input,
-the blocks, the grids (when they learn) and the bias.  The draws cover
-the reshapes that turn into views (n = 1, p = 1, q = 1), where only the
-contiguous copies keep BLAS on the GEMMs the two nodes ran.
+``linear_chain(x, T.kron_sum(a, f), b, activation)``, the kron_sum,
+transpose, matmul, bias and activation nodes that ``test_fused_nodes``
+keeps as its oracle, to the bit: the input, the blocks, the grids (when
+they learn) and the bias.  The draws cover the reshapes that turn into
+views (n = 1, p = 1, q = 1), where only the contiguous copies keep BLAS
+on the GEMMs the chain ran.
 """
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hxnn import phlayers as P
 from hxnn import tensor as T
 from hxnn import training as tr
 from hxnn.errors import ShapeError
+from test_fused_nodes import linear_chain
 
 ACTIVATION_NAMES = ("relu", "sigmoid", "none")
 ALGEBRA_OF_N = {1: "real", 2: "complex", 4: "quaternion", 8: "octonion"}
@@ -80,7 +83,7 @@ def test_kron_linear_matches_linear_over_kron_sum(seed, n, grid_kind, activation
     b = draw(r, (n * p,), coarse) if bias else None
     arrays, flags = [x, a, f, b], [x_grad, grid_kind == "learned", True, True]
     fused = lambda x, a, f, b: T.kron_linear(x, a, f, b, activation)
-    chain = lambda x, a, f, b: T.linear(x, T.kron_sum(a, f), b, activation)
+    chain = lambda x, a, f, b: linear_chain(x, T.kron_sum(a, f), b, activation)
     got = run(fused, arrays, flags, seed + 1)
     assert got == run(chain, arrays, flags, seed + 1)
     assert (got[1][0] is None) == (not x_grad) and (got[1][1] is None) == (grid_kind != "learned")

@@ -87,7 +87,7 @@ def _feed(h, net):
 
 def builder_digest():
     """sha256 over the Lorenz forecasters (windows 3 and 8, with their
-    predictions), both blobs classifiers, ``model_from`` for an mlp and a
+    predictions), both blobs classifiers, ``read_model`` for an mlp and a
     convnet over real, quaternion and phm, and param-table rows."""
     h = hashlib.sha256()
     windows = rng(7).normal(size=(5, 8, 3)) * 10
@@ -102,11 +102,11 @@ def builder_digest():
     for algebra, extra in (("real", {}), ("quaternion", {}), ("phm", {}), ("phm", {"n": "4"})):
         model = {"algebra": algebra, "activation": "sigmoid", **extra}
         train = {"train": {"seed": "3"}}
-        _feed(h, C.model_from({"model": {"kind": "mlp", "hidden": "8,16", **model}, **train},
-                              feature_dim=24, target_dim=3))
+        _feed(h, C.read_model({"model": {"kind": "mlp", "hidden": "8,16", **model},
+                               **train})(24, 3))
         try:
-            _feed(h, C.model_from({"model": {"kind": "convnet", "channels": "12", **model},
-                                   **train}))
+            _feed(h, C.read_model({"model": {"kind": "convnet", "channels": "12", **model},
+                                   **train})(None, None))
         except DivisibilityError:  # 3 input channels and n = 4
             h.update(f"{algebra} {extra} convnet: DivisibilityError".encode())
     rows = ex.experiment_param_table(["fc:64:64", "conv:24:24:3", "fc:12:24", "conv:6:12:1"])

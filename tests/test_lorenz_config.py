@@ -1,6 +1,7 @@
 """``LorenzConfig`` rejects, at construction, a run that would report
 nothing (no seed, no model, no offset) or fail only after training (an
-unknown model, a non-finite offset)."""
+unknown model, a non-finite offset, a window too short for a model)."""
+import numpy as np
 import pytest
 
 from hxnn import experiments as ex
@@ -42,11 +43,38 @@ def test_lorenz_config_accepts_each_forecaster_and_finite_offsets(kind):
 
 
 @pytest.mark.parametrize("section, line, shown", [("train", "num_seeds = 0", "num_seeds=0"),
-                                                  ("data", "offsets = 1, nan", "offsets=")])
+                                                  ("data", "offsets = 1, nan", "offsets="),
+                                                  ("data", "window = 1", "window=1")])
 def test_cli_lorenz_experiment_that_would_do_nothing_or_fail_late_exits_one(
-        section, line, shown, capsys, tmp_path):
+        section, line, shown, monkeypatch, capsys, tmp_path):
+    def no_data(*args, **kwargs):
+        raise AssertionError("the Lorenz data was made")
+
+    monkeypatch.setattr(tr, "lorenz_trajectories", no_data)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"[{section}]\n{line}\n")
     assert main(["experiment", "lorenz", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert shown in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("window, models, short", [
+    (1, tuple(tr.LORENZ_FORECASTERS), "dual_quaternion"),  # drops one step
+    (0, ("phm",), "phm"),
+    (-3, ("quaternion",), "quaternion"),
+    (0, ("dual_quaternion", "real"), "dual_quaternion"),
+])
+def test_lorenz_config_rejects_a_window_too_short_for_a_model(window, models, short):
+    with pytest.raises(ConfigError, match=f"window={window}: too short for model '{short}'"):
+        ex.LorenzConfig(window=window, models=models)
+
+
+@pytest.mark.parametrize("kind", list(tr.LORENZ_FORECASTERS))
+def test_the_shortest_window_the_config_accepts_builds_a_working_forecaster(kind):
+    window = tr.LORENZ_FORECASTERS[kind][2] + 1
+    assert ex.LorenzConfig(window=window, models=(kind,)).window == window
+    with pytest.raises(ConfigError, match="window="):
+        ex.LorenzConfig(window=window - 1, models=(kind,))
+    windows = np.random.Generator(np.random.PCG64(0)).normal(size=(5, window, 3))
+    assert tr.lorenz_forecaster(kind, 0, window=window).predict(windows).shape == (5, 3)
+

@@ -146,6 +146,9 @@ def _const(rng, shape):
     return T.Tensor(rng.standard_normal(shape))
 
 
+ONE = T.Tensor(np.ones((1, 1, 1)))  # the n = 1 grid: kron_linear's W is its one block
+
+
 def op_case(name, rng):
     """Build (input data, scalar function with frozen constants)."""
     if name == "matmul":
@@ -185,11 +188,11 @@ def op_case(name, rng):
         x, c = _const(rng, (2, 3, 4, 4)), _const(rng, (2, 3, 4, 4))
         return (3,), lambda p: T.sum_(T.mul(T.bias_act(x, p, "sigmoid"), c))
     if name == "linear_x":
-        w, b, c = _const(rng, (3, 4)), _const(rng, (3,)), _const(rng, (2, 5, 3))
-        return (2, 5, 4), lambda p: T.sum_(T.mul(T.linear(p, w, b, "sigmoid"), c))
+        f, b, c = _const(rng, (1, 3, 4)), _const(rng, (3,)), _const(rng, (2, 5, 3))
+        return (2, 5, 4), lambda p: T.sum_(T.mul(T.kron_linear(p, ONE, f, b, "sigmoid"), c))
     if name == "linear_w":
         x, c = _const(rng, (5, 4)), _const(rng, (5, 3))
-        return (3, 4), lambda p: T.sum_(T.mul(T.linear(x, p, None, "none"), c))
+        return (1, 3, 4), lambda p: T.sum_(T.mul(T.kron_linear(x, ONE, p, None, "none"), c))
     if name == "avgpool":
         c = _const(rng, (1, 2, 2, 2))
         return (1, 2, 4, 4), lambda p: T.sum_(T.mul(T.avg_pool2d(p, 2), c))

@@ -139,13 +139,6 @@ def test_lorenz_dataset_shapes_and_split():
     assert np.array_equal(ds.inputs, again.inputs)
 
 
-def test_translate_dataset_exact():
-    ds = tr.lorenz_trajectories(6, count=2, steps=300)
-    moved = tr.translate_dataset(ds, 10.0)
-    assert np.array_equal(moved.inputs, ds.inputs + 10.0)
-    assert np.array_equal(moved.targets, ds.targets + 10.0)
-
-
 def test_train_zero_epochs_is_noop():
     ds = tr.make_rgb_blobs(2, samples_per_class=12)
     net = tr.blobs_classifier("real", seed=0, channels=6)

@@ -1,7 +1,8 @@
 """A diverging run, a negative ``Narrow`` slice, negative conv padding, a
-learning rate that is not a finite positive number and a blobs split
-with no train or no test sample fail with the package's own errors
-instead of passing silently."""
+learning rate or Adam ``eps`` that is not a finite positive number, an
+Adam ``beta1`` or ``beta2`` outside [0, 1) and a blobs split with no
+train or no test sample fail with the package's own errors instead of
+passing silently."""
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from hxnn import serialize as S
 from hxnn import tensor as T
 from hxnn import training as tr
 from hxnn.algebra import builtin
+from hxnn.cli import main
 from hxnn.errors import ConfigError, FormatError, ShapeError, TrainingDiverged
 from hxnn.layers import HConv2DLayer, HFCLayer
 from hxnn.phlayers import PHCLayer
@@ -100,10 +102,39 @@ def test_conv_with_negative_padding_in_a_file_raises_format_error(layer, tmp_pat
         S.load_model(file_with_cfg(tmp_path, layer, b"padding=1\n", b"padding=-1\n"))
 
 
-@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
-def test_train_config_rejects_an_lr_that_is_not_finite_and_positive(lr):
-    with pytest.raises(ConfigError, match="lr="):
-        tr.TrainConfig(lr=lr)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("key", ["lr", "eps"])
+def test_train_config_rejects_an_lr_or_eps_that_is_not_finite_and_positive(key, value):
+    with pytest.raises(ConfigError, match=f"{key}="):
+        tr.TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, -0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["beta1", "beta2"])
+def test_train_config_rejects_an_adam_beta_outside_zero_to_one(key, value):
+    with pytest.raises(ConfigError, match=f"{key}="):
+        tr.TrainConfig(**{key: value})
+
+
+def test_train_config_accepts_the_edges_of_the_adam_ranges():
+    cfg = tr.TrainConfig(beta1=0.0, beta2=0.0, eps=5e-324)
+    assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.0, 0.0, 5e-324)
+
+
+@pytest.mark.parametrize("line, shown", [("eps = 0", "eps=0.0"), ("beta1 = 1", "beta1=1.0"),
+                                         ("beta2 = 1", "beta2=1.0"), ("beta1 = nan", "beta1=nan")])
+def test_cli_train_with_a_bad_adam_constant_exits_one_before_any_data_is_made(
+        line, shown, monkeypatch, capsys, tmp_path):
+    def no_data(*args, **kwargs):
+        raise AssertionError("the Lorenz data was made")
+
+    monkeypatch.setattr(tr, "lorenz_trajectories", no_data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nkind = mlp\n[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
+                   f"[train]\nepochs = 1\n{line}\n")
+    assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert shown in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_lorenz_experiment_with_a_nan_lr_raises_instead_of_reporting_nan():

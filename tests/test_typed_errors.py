@@ -1,5 +1,5 @@
 """Bad layer arguments fail with the package's own errors at construction,
-through ``load_model`` and through ``config.model_from``; a mutated or
+through ``load_model`` and through ``config.read_model``; a mutated or
 truncated model file lets only ``FormatError`` escape ``load_model``."""
 import os
 import tempfile
@@ -86,7 +86,7 @@ def test_bad_constructor_arguments_in_a_file_raise_format_error(layer, old, new,
 ])
 def test_bad_constructor_arguments_in_a_config_raise_config_error(model):
     with pytest.raises(ConfigError):
-        C.model_from({"model": model, "train": {"seed": "1"}}, feature_dim=8, target_dim=3)
+        C.read_model({"model": model, "train": {"seed": "1"}})(8, 3)
 
 
 def every_kind_model():
