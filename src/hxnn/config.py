@@ -155,8 +155,7 @@ def read_dataset(cfg: dict):
 def _flat_lorenz(seed, **kwargs) -> tr.Dataset:
     """Lorenz windows in the flat supervised view of generic training."""
     ds = tr.lorenz_trajectories(seed, **kwargs)
-    flat = ds.inputs.reshape(len(ds.inputs), -1)
-    return tr.Dataset(flat, ds.targets, ds.train_idx, ds.test_idx)
+    return tr.Dataset(tr.encode_windows_flat(ds.inputs), ds.targets, ds.train_idx, ds.test_idx)
 
 
 def read_model(cfg: dict):

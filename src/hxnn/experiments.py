@@ -5,7 +5,7 @@ rerunning with the same config reproduces the CSV output byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,7 +227,6 @@ class LorenzConfig(_Epochs):
 @dataclass
 class LorenzReport:
     rows: list  # (seed, model, free_params, offset, mse_base, mse_translated, ratio)
-    params: dict = field(default_factory=dict)
 
     @property
     def csv(self) -> str:
@@ -271,7 +270,6 @@ def experiment_lorenz_equivariance(config: LorenzConfig = LorenzConfig()) -> Lor
                                  task="regression")
             tr.train(f.net, enc, cfg)
             free, _ = f.net.param_count()
-            report.params[kind] = free
             rows = G.equivariance_report(f.predict, "translation",
                                          ds.test_inputs, ds.test_targets,
                                          list(config.offsets))

@@ -4,14 +4,14 @@ as one (n, *block) tensor.  Conv layers build W with ``tensor.kron_sum``;
 FC and graph layers apply it through ``tensor.kron_linear``, one node
 that builds W^T itself.
 
-``KronLayer`` holds that state; ``KronLinear``, ``KronConv2D`` and
-``KronGraph`` are the one FC, conv and graph forward of both layer
-families.  The algebra-bound layers here pass the algebra's fixed signed
-grid matrices as constants, so W places +-F_i in every cell of the
-left-multiplication pattern and has 1/n of a dense layer's free weights;
-the PHM family in ``phlayers`` passes learned grids.  Features are laid
-out component-major: the first d/n are the real parts, the next d/n the
-first imaginary parts, and so on.
+``KronLayer`` holds that state; ``KronLinear`` and ``KronConv2D`` are
+the one FC and conv forward of both layer families, and the ``KronGraph``
+mixin makes an FC layer a graph layer.  The algebra-bound layers here
+pass the algebra's fixed signed grid matrices as constants, so W places
++-F_i in every cell of the left-multiplication pattern and has 1/n of a
+dense layer's free weights; the PHM family in ``phlayers`` passes
+learned grids.  Features are laid out component-major: the first d/n
+are the real parts, the next d/n the first imaginary parts, and so on.
 """
 from __future__ import annotations
 
@@ -192,7 +192,7 @@ class HAttBlock(Layer):
 
     h = conv(x); a = conv_1x1(conv(concat(h, h))); y = gate(a) * x.
     ``gate`` is "sigmoid" (bounded gating, the default) or "none"
-    (the literal product).
+    (the literal product); it is the 1x1 projection's activation.
 
     The fuse filter W keeps its 2c input channels, but conv is linear in
     its input, so conv(concat(h, h), W) = conv(h, W[:, :c] + W[:, c:]):
@@ -212,8 +212,7 @@ class HAttBlock(Layer):
                                     padding=pad, activation="relu", rng=rng)
         self.fuse = HConv2DLayer(algebra, 2 * channels, channels, kernel,
                                  padding=pad, activation="relu", rng=rng)
-        self.proj = HConv2DLayer(algebra, channels, channels, 1,
-                                 activation="none", rng=rng)
+        self.proj = HConv2DLayer(algebra, channels, channels, 1, activation=gate, rng=rng)
         self.sublayers = (self.feature, self.fuse, self.proj)
 
     def forward(self, x):
@@ -221,9 +220,7 @@ class HAttBlock(Layer):
         fuse, c, k = self.fuse, self.channels, self.kernel
         w = T.sum_(T.reshape(fuse.weight(), (c, 2, c, k, k)), axis=1)
         y = T.conv2d(h, w, stride=fuse.stride, padding=fuse.padding)
-        a = self.proj(T.bias_act(y, fuse.bias, fuse.activation))
-        g = T.sigmoid(a) if self.gate == "sigmoid" else a
-        return T.mul(g, x)
+        return T.mul(self.proj(T.bias_act(y, fuse.bias, fuse.activation)), x)
 
 
 class Graph:
@@ -251,34 +248,25 @@ class Graph:
         self.normalized_adjacency = a * dinv[:, None] * dinv[None, :]
 
 
-class KronGraph(Layer):
-    """Graph aggregation through an inner ``KronLinear`` (no activation,
-    with bias): H' = act(A_hat @ H @ W^T + b).  H W^T is one
-    ``kron_linear`` node over the inner layer's ``a`` and ``f``; the
-    aggregation and the bias and activation are one node each."""
-
-    def __init__(self, inner: KronLinear, activation):
-        self.inner = inner
-        self.sublayers = (inner,)
-        self.d, self.s = inner.d, inner.s
-        self.activation = _activation(activation)
+class KronGraph:
+    """Graph convolution mixin for a ``KronLinear`` layer: H' = act(A_hat
+    H W^T + b), the layer's own map applied to the aggregated features,
+    as ``matmul`` and one ``kron_linear`` node.  The aggregation records
+    a node only when the features require grad."""
 
     def forward_graph(self, graph: Graph, features: T.Tensor | None = None):
         h = features if features is not None else T.Tensor(graph.features)
-        if h.data.shape[1] != self.d:
-            raise ShapeError(f"expected (nodes, {self.d}), got {h.data.shape}")
-        mixed = T.kron_linear(h, self.inner.a, self.inner.f, None, "none")
-        agg = T.matmul(T.Tensor(graph.normalized_adjacency), mixed)
-        return T.bias_act(agg, self.inner.bias, self.activation)
+        if h.data.shape != (graph.num_nodes, self.d):
+            raise ShapeError(f"expected ({graph.num_nodes}, {self.d}) features, got {h.data.shape}")
+        agg = T.matmul(T.Tensor(graph.normalized_adjacency), h)
+        return T.kron_linear(agg, self.a, self.f, self.bias, self.activation)
 
     def forward(self, x):
         raise TypeError("graph layers are applied with forward_graph(graph)")
 
 
-class HGraphConvLayer(KronGraph):
+class HGraphConvLayer(KronGraph, HFCLayer):
     """Graph aggregation with an algebra-patterned weight."""
 
     def __init__(self, algebra: Algebra, d, s, activation="relu", rng=None):
-        self.algebra = algebra
-        super().__init__(HFCLayer(algebra, d, s, activation="none", bias=True, rng=rng),
-                         activation)
+        super().__init__(algebra, d, s, activation, rng=rng)

@@ -3,9 +3,9 @@
 Instead of a fixed algebra, these layers learn the n x n grid matrices
 A_i, held as one (n, n, n) tensor, alongside the weight blocks F_i.
 They are thin constructors over the Kronecker-sum core in ``layers``
-(``KronLinear``, ``KronConv2D``, ``KronGraph``), which the algebra-bound
-layers share with constant grids.  Any integer n >= 1 is legal (in particular n = 3 for RGB
-inputs).  Freezing the A_i to a built-in algebra's grid matrices
+(``KronLinear``, ``KronConv2D`` and the ``KronGraph`` mixin), which the
+algebra-bound layers share with constant grids.  Any integer n >= 1 is
+legal (in particular n = 3 for RGB inputs).  Freezing the A_i to a built-in algebra's grid matrices
 collapses the layer back to its algebra-bound counterpart exactly.
 ``linear_layer`` and ``conv_layer`` pick the layer class for a family:
 an ``Algebra`` (algebra-bound) or an integer n (learned grids).
@@ -122,18 +122,18 @@ class PHAttBlock(Layer):
         return T.mul(att, x) if self.mode == "gate" else att
 
 
-class PHGraphLayer(KronGraph):
+class PHGraphLayer(KronGraph, PHMLayer):
     """Graph aggregation with a learned Kronecker-sum weight."""
 
     def __init__(self, n, d, s, activation="relu", rng=None):
-        self.n = n
-        super().__init__(PHMLayer(n, d, s, rng=rng), activation)
+        super().__init__(n, d, s, activation, rng=rng)
 
 
 def grid_owners(layer) -> list:
     """The PHM-family layers whose learned grid matrices ``layer`` holds,
-    in parameter order: a ``PHMLayer`` or ``PHCLayer`` owns its grids,
-    any other layer (a ``Network`` too) returns its sublayers' owners."""
+    in parameter order: a ``PHMLayer`` (a ``PHGraphLayer`` too) or
+    ``PHCLayer`` owns its grids, any other layer (a ``Network`` too)
+    returns its sublayers' owners."""
     if isinstance(layer, (PHMLayer, PHCLayer)):
         return [layer]
     return [owner for sub in layer.sublayers for owner in grid_owners(sub)]

@@ -80,8 +80,9 @@ def _stored(layer):
 
 
 def _describe(layer):
-    """(kind, cfg dict, ordered stored tensors) of one layer."""
-    kind = next((k for k, (cls, _) in KINDS.items() if isinstance(layer, cls)), None)
+    """(kind, cfg dict, ordered stored tensors) of one layer.  The kind
+    is looked up by exact class: a graph layer is also an FC layer."""
+    kind = next((k for k, (cls, _) in KINDS.items() if type(layer) is cls), None)
     if kind is None:
         raise FormatError(f"cannot serialize layer of type {type(layer).__name__}")
     cfg = {}

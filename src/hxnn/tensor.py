@@ -13,7 +13,7 @@ sort and a dictionary entry, which on small layers outweighs the
 arithmetic.  So the chains every training step records are fused into
 one node each: ``kron_linear`` (act(x W^T + b) with W = kron_sum(a, f),
 every Kronecker FC and graph layer), ``bias_act`` (act(x + b) after a
-conv or a graph aggregation) and, in ``training``, the MSE and
+conv), ``mean`` (a scaled sum) and, in ``training``, the MSE and
 log-softmax-NLL losses.
 Each fused node performs the same numpy operations as the chain it
 replaces, in the same order, so its value and gradients are the same to
@@ -201,30 +201,26 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _node(a.data[idx].copy(), (a,), vjp)
 
 
-def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def _axes(a: Tensor, axis):
     if axis is None:
-        axes = tuple(range(a.data.ndim))
-    elif isinstance(axis, int):
-        axes = (axis,)
-    else:
-        axes = tuple(axis)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _node(out, (a,), vjp)
+        return tuple(range(a.data.ndim))
+    return (axis,) if isinstance(axis, int) else tuple(axis)
 
 
-def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    axes = _axes(a, axis)
+    return _node(a.data.sum(axis=axes), (a,),
+                 lambda g: (np.broadcast_to(np.expand_dims(g, axes), a.data.shape).copy(),))
+
+
+def mean(a: Tensor, axis=None) -> Tensor:
+    """One node, the same numpy ops in the same order as
+    ``scale(sum_(a, axis), 1 / count)``, count the entries summed into
+    each output."""
+    axes = _axes(a, axis)
+    alpha = 1.0 / int(np.prod([a.data.shape[ax] for ax in axes]))
+    return _node(alpha * a.data.sum(axis=axes), (a,),
+                 lambda g: (np.broadcast_to(np.expand_dims(alpha * g, axes), a.data.shape).copy(),))
 
 
 # -----------------------------------------------------------------------------
@@ -462,10 +458,6 @@ def _identity(y):
 ACTIVATIONS = {"relu": _relu, "sigmoid": _sigmoid, "none": _identity}
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    return bias_act(a, None, "sigmoid")
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -542,7 +534,7 @@ def kron_linear(x: Tensor, a: Tensor, f: Tensor, b: Tensor | None, activation: s
 
 def bias_act(x: Tensor, b: Tensor | None, activation: str) -> Tensor:
     """act(x + b) with the length-C bias ``b`` added along axis 1 of a
-    2-d or 4-d ``x`` (the step after a conv or a graph aggregation), or
+    2-d or 4-d ``x`` (the step after a conv), or
     act(x) of any ``x`` when ``b`` is None.  ``activation`` is a key of
     ``ACTIVATIONS``."""
     if b is None and activation == "none":

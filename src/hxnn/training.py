@@ -103,8 +103,6 @@ class Dataset:
 class Metrics:
     losses: list = field(default_factory=list)
     scores: list = field(default_factory=list)  # test accuracy or test MSE per epoch
-    free_params: int = 0
-    dense_params: int = 0
 
 
 # -----------------------------------------------------------------------------
@@ -298,7 +296,8 @@ def lorenz_trajectories(seed, count, steps, dt=0.01, sample_every=10,
     """Sliding windows over chaotic trajectories: ``window`` past points
     map to the next point.  Windows are spaced ``sample_every`` solver
     steps apart; train and test windows come from disjoint trajectories.
-    All trajectories integrate together as one (3, count) state.
+    All trajectories integrate together as one (3, count) state; a
+    ``dt`` whose states leave the finite range raises ``ConfigError``.
     """
     if dt <= 0 or sample_every < 1 or window < 1:
         raise ConfigError(f"need dt > 0, sample_every >= 1 and window >= 1, "
@@ -310,12 +309,15 @@ def lorenz_trajectories(seed, count, steps, dt=0.01, sample_every=10,
                           f"(need {window + 1}) and {count - n_test_traj} to train on (need 1)")
     rng = np.random.Generator(np.random.PCG64(seed))
     y = (rng.uniform(-12.0, 12.0, size=(count, 3)) + np.array([0.0, 0.0, 24.0])).T
-    for _ in range(burn_in):
-        y = rk4_step(lorenz_rhs, y, dt)
     recorded = np.empty((steps, 3, count))
-    for s in range(steps):
-        y = rk4_step(lorenz_rhs, y, dt)
-        recorded[s] = y
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
+        for _ in range(burn_in):
+            y = rk4_step(lorenz_rhs, y, dt)
+        for s in range(steps):
+            y = rk4_step(lorenz_rhs, y, dt)
+            recorded[s] = y
+    if not np.isfinite(recorded).all():
+        raise ConfigError(f"dt={dt}: the integrated trajectories leave the finite range")
     points = recorded[::sample_every].transpose(2, 0, 1).reshape(-1, 3)  # trajectory-major
     starts = (np.arange(count)[:, None] * samples + np.arange(samples - window)).ravel()
     inputs = points[starts[:, None] + np.arange(window)]
@@ -410,8 +412,7 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Metrics:
     params = model.parameters()
     state = {}
     loss_fn = _loss_fn(config.task)
-    free, dense = model.param_count()
-    metrics = Metrics(free_params=free, dense_params=dense)
+    metrics = Metrics()
     xs, ys = dataset.train_inputs, dataset.train_targets
     if config.epochs and len(xs) == 0:
         raise ShapeError("the training split is empty")

@@ -26,6 +26,10 @@ def relu(a: T.Tensor) -> T.Tensor:
     return T.bias_act(a, None, "relu")
 
 
+def sigmoid(a: T.Tensor) -> T.Tensor:
+    return T.bias_act(a, None, "sigmoid")
+
+
 def pad_channels(x: T.Tensor, n: int) -> T.Tensor:
     """Explicitly zero-pad the channel axis of an NCHW tensor up to the
     next multiple of n.  Never applied implicitly."""

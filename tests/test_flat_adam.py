@@ -74,8 +74,6 @@ def test_trained_forecasters_byte_equal_to_per_tensor_adam(kind, lorenz_small, m
         [p.data.tobytes() for p in oracle_net.parameters()]
     assert np.array(packed.losses).tobytes() == np.array(oracle.losses).tobytes()
     assert np.array(packed.scores).tobytes() == np.array(oracle.scores).tobytes()
-    assert (packed.free_params, packed.dense_params) == (oracle.free_params,
-                                                          oracle.dense_params)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -124,9 +124,8 @@ def chain_conv_forward(self, x):
 
 def chain_graph_forward(self, graph, features=None):
     h = features if features is not None else T.Tensor(graph.features)
-    mixed = T.matmul(h, transpose(self.inner.weight()))
-    agg = T.matmul(T.Tensor(graph.normalized_adjacency), mixed)
-    return bias_act_chain(agg, self.inner.bias, self.activation)
+    agg = T.matmul(T.Tensor(graph.normalized_adjacency), h)
+    return linear_chain(agg, self.weight(), self.bias, self.activation)
 
 
 def chain_assembled(self):

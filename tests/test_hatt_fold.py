@@ -23,11 +23,10 @@ def rng(seed):
 
 
 def concat_forward(att, x):
-    """HAttBlock.forward as it was: the fuse layer on concat([h, h])."""
+    """HAttBlock.forward as it was: the fuse layer on concat([h, h]).  The
+    gate is the projection's own activation."""
     h = att.feature(x)
-    a = att.proj(att.fuse(T.concat([h, h], axis=1)))
-    g = T.sigmoid(a) if att.gate == "sigmoid" else a
-    return T.mul(g, x)
+    return T.mul(att.proj(att.fuse(T.concat([h, h], axis=1))), x)
 
 
 def run(forward, att, xd, gd):

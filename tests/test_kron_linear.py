@@ -158,14 +158,36 @@ def test_a_lorenz_training_step_records_one_node_per_kron_linear_layer(kind):
         assert the_node_of(layer, nodes)._parents[1:] == tuple(layer.parameters())
 
 
-@pytest.mark.parametrize("make", [
+GRAPH_LAYERS = [
     lambda: L.HGraphConvLayer(alg.builtin("quaternion"), 8, 12, rng=gen(1)),
     lambda: P.PHGraphLayer(2, 8, 12, rng=gen(2)),
-])
+]
+
+
+@pytest.mark.parametrize("make", GRAPH_LAYERS)
 def test_a_kron_graph_forward_records_one_node_for_its_linear_layer(make):
     layer = make()
     graph = L.Graph(5, [(0, 1), (1, 2), (3, 4)], gen(3).standard_normal((5, 8)))
     nodes = recorded(layer.forward_graph(graph))
-    assert len(nodes) == 3  # the Kronecker linear node, the aggregation and bias + act
-    inner = layer.inner  # the bias is added after the aggregation
-    assert the_node_of(inner, nodes)._parents[1:] == tuple(inner.parameters()[:-1])
+    assert len(nodes) == 1  # the aggregation of constant features records no node
+    assert the_node_of(layer, nodes)._parents[1:] == tuple(layer.parameters())
+
+
+@pytest.mark.parametrize("make", GRAPH_LAYERS)
+def test_a_graph_forward_on_features_that_require_grad_records_the_aggregation_too(make):
+    layer = make()
+    graph = L.Graph(5, [(0, 1), (1, 2), (3, 4)], gen(3).standard_normal((5, 8)))
+    h = T.Tensor(graph.features, requires_grad=True)
+    nodes = recorded(layer.forward_graph(graph, h))
+    assert len(nodes) == 2  # A_hat H, then the Kronecker linear node on it
+    agg, *weights = the_node_of(layer, nodes)._parents
+    assert agg in nodes and agg._parents[1] is h
+    assert weights == layer.parameters()
+
+
+@pytest.mark.parametrize("shape", [(8,), (5, 8, 1), (4, 8), (5, 4)])
+@pytest.mark.parametrize("make", GRAPH_LAYERS)
+def test_graph_features_of_another_shape_raise_shape_error(make, shape):
+    graph = L.Graph(5, [(0, 1)], gen(3).standard_normal((5, 8)))
+    with pytest.raises(ShapeError, match=r"expected \(5, 8\) features"):
+        make().forward_graph(graph, T.Tensor(np.zeros(shape)))

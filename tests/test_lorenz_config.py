@@ -1,6 +1,8 @@
 """``LorenzConfig`` rejects, at construction, a run that would report
 nothing (no seed, no model, no offset) or fail only after training (an
-unknown model, a non-finite offset, a window too short for a model)."""
+unknown model, a non-finite offset, a window too short for a model).
+The Lorenz data maker rejects a ``dt`` whose integrated states leave the
+finite range, before any model trains."""
 import numpy as np
 import pytest
 
@@ -78,3 +80,33 @@ def test_the_shortest_window_the_config_accepts_builds_a_working_forecaster(kind
     windows = np.random.Generator(np.random.PCG64(0)).normal(size=(5, window, 3))
     assert tr.lorenz_forecaster(kind, 0, window=window).predict(windows).shape == (5, 3)
 
+
+@pytest.mark.parametrize("dt", [NAN, INF, 0.3])
+def test_lorenz_data_rejects_a_dt_whose_states_leave_the_finite_range(dt):
+    with pytest.raises(ConfigError, match=f"dt={dt}"):
+        tr.lorenz_trajectories(0, count=4, steps=200, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1])
+def test_lorenz_data_accepts_a_dt_that_stays_finite(dt):
+    ds = tr.lorenz_trajectories(0, count=4, steps=200, dt=dt)
+    assert np.isfinite(ds.inputs).all() and np.isfinite(ds.targets).all()
+
+
+@pytest.mark.parametrize("command, text", [
+    (["experiment", "lorenz"], "[data]\ncount = 4\nsteps = 200\ndt = nan\n"),
+    (["train"], "[model]\nkind = mlp\nalgebra = phm\nn = 2\nhidden = 8\n"
+                "[data]\ndataset = lorenz\ncount = 4\nsteps = 200\ndt = nan\n"
+                "[train]\nepochs = 1\n"),
+], ids=["experiment", "train"])
+def test_cli_on_lorenz_data_with_a_nan_dt_exits_one_before_training(
+        command, text, monkeypatch, capsys, tmp_path):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(tr, "train", no_training)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([*command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "dt=nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -164,9 +164,9 @@ def test_phgraph_collapse_matches_hgraph():
     hg = L.HGraphConvLayer(q, 4, 4, activation="relu", rng=rng(8))
     pg = P.PHGraphLayer(4, 4, 4, activation="relu", rng=rng(9))
     P.collapse_to_algebra(pg, q)
-    for fi, bi in zip(pg.inner.f.data, hg.inner.f.data):
+    for fi, bi in zip(pg.f.data, hg.f.data):
         fi[...] = bi
-    pg.inner.bias.data[...] = hg.inner.bias.data
+    pg.bias.data[...] = hg.bias.data
     feats = rng(10).standard_normal((3, 4))
     g = L.Graph(3, [(0, 1), (1, 2)], feats)
     assert np.max(np.abs(pg.forward_graph(g).data - hg.forward_graph(g).data)) < 1e-12
@@ -177,7 +177,7 @@ def test_phgraph_empty_edges_is_per_node_phm():
     feats = rng(12).standard_normal((3, 4))
     g = L.Graph(3, [], feats)
     got = pg.forward_graph(g).data
-    expect = pg.inner(T.Tensor(feats)).data
+    expect = L.KronLinear.forward(pg, T.Tensor(feats)).data  # its own PHM map
     assert np.max(np.abs(got - expect)) < 1e-12
 
 

@@ -50,7 +50,7 @@ def test_grid_owners_of_a_network_are_its_phm_layers_in_order():
     att = P.PHAttBlock(2, 4, heads=2, rng=rng())
     graph = P.PHGraphLayer(2, 4, 4, rng=rng())
     nested = tr.Network([att, graph, L.HFCLayer(alg.builtin("complex"), 4, 4, rng=rng())])
-    assert P.grid_owners(nested) == att.projections + [graph.inner]
+    assert P.grid_owners(nested) == att.projections + [graph]
 
 
 def test_collapse_to_algebra_on_a_network_equals_the_algebra_bound_network():
