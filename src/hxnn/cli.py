@@ -46,7 +46,7 @@ def cmd_paramtable(args) -> int:
 
 
 def cmd_train(args) -> int:
-    make_dataset, tcfg, make_model = cfgmod.read_run(cfgmod.load_config(args.config), args.seed)
+    make_dataset, tcfg, make_model = cfgmod.read_run(cfgmod.load_config(args.config))
     dataset = make_dataset()
     feature_dim = dataset.inputs.shape[1] if dataset.inputs.ndim == 2 else None
     target_dim = dataset.targets.shape[1] if dataset.targets.ndim == 2 else None
@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     ptr = sub.add_parser("train", help="train a model from a config file")
     ptr.add_argument("config")
     ptr.add_argument("--out", default="out")
-    ptr.add_argument("--seed", type=int, default=None)
     ptr.set_defaults(fn=cmd_train)
 
     pe = sub.add_parser("eval", help="evaluate a saved model")

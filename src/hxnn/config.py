@@ -123,9 +123,9 @@ def dataclass_from(cls, cfg: dict, keys: dict, seed=None):
     return cls(**values)
 
 
-def train_config_from(cfg: dict, seed_override=None) -> tr.TrainConfig:
+def train_config_from(cfg: dict) -> tr.TrainConfig:
     keys = {f.name: f"train.{f.name}" for f in dataclasses.fields(tr.TrainConfig)}
-    return dataclass_from(tr.TrainConfig, cfg, keys, seed_override)
+    return dataclass_from(tr.TrainConfig, cfg, keys)
 
 
 def read_dataset(cfg: dict):
@@ -194,24 +194,27 @@ def read_model(cfg: dict):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-# The one training task each dataset's targets fit.
+# The one training task each dataset's targets fit, and the one dataset
+# each model kind takes.
 DATASET_TASKS = {"blobs": "classification", "lorenz": "regression"}
+KIND_DATASETS = {"convnet": "blobs", "mlp": "lorenz"}
 
 
-def read_run(cfg: dict, seed_override=None):
+def read_run(cfg: dict):
     """Read the config of ``hxnn train`` and ``hxnn eval``: (dataset
     maker, ``TrainConfig``, model builder).  Every key is read before
-    anything is built, and a key none of the three reads, a convnet on
-    data it cannot take (not blobs, or an image size its pools do not
-    tile) or a task the dataset's targets do not fit raises
-    ``ConfigError``, so one file serves both commands."""
+    anything is built, and a key none of the three reads, a model on
+    data it cannot take (not its kind's dataset, or an image size the
+    convnet's pools do not tile) or a task the dataset's targets do not
+    fit raises ``ConfigError``, so one file serves both commands."""
     reads = Reads(cfg)
-    run = read_dataset(reads), train_config_from(reads, seed_override), read_model(reads)
+    run = read_dataset(reads), train_config_from(reads), read_model(reads)
     reads.reject_unread("train and eval")
-    dataset, task = _get(cfg, "data", "dataset"), run[1].task
-    if _get(cfg, "model", "kind") == "convnet":
-        if dataset != "blobs":
-            raise ConfigError(f"model.kind = convnet needs dataset = blobs, not {dataset}")
+    dataset, task, kind = _get(cfg, "data", "dataset"), run[1].task, _get(cfg, "model", "kind")
+    if dataset != KIND_DATASETS[kind]:
+        raise ConfigError(f"model.kind = {kind} needs dataset = {KIND_DATASETS[kind]}, "
+                          f"not {dataset}")
+    if kind == "convnet":
         tr.check_convnet_size(run[0].keywords["size"], "data.size")
     if task != DATASET_TASKS[dataset]:
         raise ConfigError(f"train.task = {task} does not fit dataset {dataset}: "

@@ -5,7 +5,7 @@ rerunning with the same config reproduces the CSV output byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def gradcheck_all(seed=0xC0FFEE):
 # RGB texture classification (parameter-reduction demonstration)
 
 
-@dataclass
+@dataclass(frozen=True)  # so the TrainConfig built from its fields stays theirs
 class BlobsConfig(_Epochs):
     seed: int = 42
     samples_per_class: int = 600
@@ -138,6 +138,9 @@ class BlobsConfig(_Epochs):
     def __post_init__(self):  # before any data is made: the convnet pools twice by 2x2
         super().__post_init__()
         tr.check_convnet_size(self.image_size, "image_size")
+        object.__setattr__(self, "train", tr.TrainConfig(
+            seed=self.seed, epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
+            task="classification", early_stop_train_loss=self.early_stop_train_loss))
 
 
 @dataclass
@@ -173,11 +176,7 @@ def experiment_blobs(config: BlobsConfig = BlobsConfig()) -> BlobsReport:
     results, curves = {}, []
     for kind in ("phc", "real"):
         net = tr.blobs_classifier(kind, seed=config.seed, channels=config.channels)
-        cfg = tr.TrainConfig(seed=config.seed, epochs=config.epochs,
-                             batch_size=config.batch_size, lr=config.lr,
-                             task="classification",
-                             early_stop_train_loss=config.early_stop_train_loss)
-        metrics = tr.train(net, ds, cfg)
+        metrics = tr.train(net, ds, config.train)
         free, dense = net.param_count()
         results[kind] = {
             "test_accuracy": metrics.scores[-1],
@@ -195,7 +194,7 @@ def experiment_blobs(config: BlobsConfig = BlobsConfig()) -> BlobsReport:
 # Lorenz forecasting (translation-equivariance demonstration)
 
 
-@dataclass
+@dataclass(frozen=True)  # so the TrainConfig built from its fields stays theirs
 class LorenzConfig(_Epochs):
     seed: int = 0
     num_seeds: int = 5
@@ -222,6 +221,9 @@ class LorenzConfig(_Epochs):
                 raise ConfigError(f"window={self.window}: too short for model {model!r}")
         if not self.offsets or not np.isfinite(np.asarray(self.offsets, dtype=float)).all():
             raise ConfigError(f"offsets={self.offsets!r}: expected one or more finite offsets")
+        object.__setattr__(self, "train", tr.TrainConfig(
+            seed=self.seed, epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
+            task="regression"))
 
 
 @dataclass
@@ -257,6 +259,7 @@ def experiment_lorenz_equivariance(config: LorenzConfig = LorenzConfig()) -> Lor
     report = LorenzReport(rows=[])
     for k in range(config.num_seeds):
         seed = config.seed + k
+        cfg = replace(config.train, seed=seed)
         ds = tr.lorenz_trajectories(seed, count=config.trajectories, steps=config.steps,
                                     dt=config.dt, sample_every=config.sample_every,
                                     window=config.window)
@@ -265,9 +268,6 @@ def experiment_lorenz_equivariance(config: LorenzConfig = LorenzConfig()) -> Lor
             enc = tr.Dataset(f.features(ds.inputs),
                              f.train_targets(ds.inputs, ds.targets),
                              ds.train_idx, ds.test_idx)
-            cfg = tr.TrainConfig(seed=seed, epochs=config.epochs,
-                                 batch_size=config.batch_size, lr=config.lr,
-                                 task="regression")
             tr.train(f.net, enc, cfg)
             free, _ = f.net.param_count()
             rows = G.equivariance_report(f.predict, "translation",

@@ -201,7 +201,7 @@ class HAttBlock(Layer):
 
     def __init__(self, algebra: Algebra, channels, kernel=3, gate="sigmoid", rng=None):
         if kernel % 2 == 0:
-            raise ConfigError("attention conv kernel must be odd to keep shape")
+            raise ConfigError(f"kernel={kernel} must be odd to keep the attention block's shape")
         if gate not in ("sigmoid", "none"):
             raise ConfigError(f"unknown gate {gate!r}")
         rng = rng or np.random.default_rng(0)

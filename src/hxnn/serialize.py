@@ -1,11 +1,14 @@
 """Binary model files: magic "HXNN", version, descriptor, layer specs,
 then one flat little-endian float64 payload.  Round trips are bit-exact.
-A layer with learned grids stores them as n (n, n) entries and n
-``frozen`` flags; its grids freeze together, so the flags are all 0 or
-all 1, and a file with mixed flags raises ``FormatError``.
+Save and load are one pass over the layers each; load checks the
+declared tensor sizes against the payload bytes left before it builds
+any layer.  A layer with learned grids stores them as n (n, n) entries
+and n ``frozen`` flags; its grids freeze together, so the flags are all
+0 or all 1, and a file with mixed flags raises ``FormatError``.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -48,7 +51,6 @@ KINDS = {
     "phc": (PHCLayer, ("n", "in", "out", "kernel", "stride", "padding", "activation", "bias")),
     "phatt": (PHAttBlock, ("n", "features", "heads", "activation", "mode")),
     "phgraph": (PHGraphLayer, ("n", "d", "s", "activation")),
-    "flatten": (tr.Flatten, ()),
     "avgpool": (tr.AvgPool, ("window",)),
     "globalavgpool": (tr.GlobalAvgPool, ()),
     "narrow": (tr.Narrow, ("start", "length")),
@@ -119,11 +121,10 @@ def _rebuild(kind, cfg):
     return layer
 
 
-def _descriptor(layers):
+def _descriptor(cfgs):
     names = set()
     n = 1
-    for layer in layers:
-        _, cfg, _ = _describe(layer)
+    for cfg in cfgs:
         if "n" in cfg:
             names.add("parameterized")
             n = max(n, cfg["n"])
@@ -136,23 +137,21 @@ def _descriptor(layers):
 
 
 def save_model(model: tr.Network, path):
+    described = [_describe(layer) for layer in model.layers]
     chunks = [MAGIC, struct.pack("<I", VERSION)]
-    name, n = _descriptor(model.layers)
+    name, n = _descriptor(cfg for _, cfg, _ in described)
     nb = name.encode("utf-8")
     chunks.append(struct.pack("<IH", n, len(nb)) + nb)
-    chunks.append(struct.pack("<I", len(model.layers)))
+    chunks.append(struct.pack("<I", len(described)))
     payload = []
-    for layer in model.layers:
-        kind, cfg, params = _describe(layer)
+    for kind, cfg, params in described:
         kb = kind.encode("utf-8")
         cb = _cfg_str(cfg).encode("utf-8")
         chunks.append(struct.pack("<H", len(kb)) + kb)
         chunks.append(struct.pack("<I", len(cb)) + cb)
         chunks.append(struct.pack("<I", len(params)))
         for p in params:
-            dims = p.data.shape
-            chunks.append(struct.pack("<B", len(dims)))
-            chunks.append(struct.pack(f"<{len(dims)}I", *dims) if dims else b"")
+            chunks.append(struct.pack(f"<B{p.data.ndim}I", p.data.ndim, *p.data.shape))
             payload.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     blob = b"".join(chunks) + b"".join(payload)
     with open(path, "wb") as fh:
@@ -187,7 +186,7 @@ def load_model(path) -> tr.Network:
     _n, name_len = r.unpack("<IH")
     r.take(name_len)  # descriptor is informational
     (layer_count,) = r.unpack("<I")
-    layers, shapes = [], []
+    headers = []  # (kind, cfg bytes, declared tensor shapes) per layer
     for index in range(layer_count):
         (klen,) = r.unpack("<H")
         try:
@@ -197,28 +196,29 @@ def load_model(path) -> tr.Network:
         (clen,) = r.unpack("<I")
         cfg_text = r.take(clen)
         (nparams,) = r.unpack("<I")
-        layer_shapes = []
+        shapes = []
         for _ in range(nparams):
             (rank,) = r.unpack("<B")
-            dims = r.unpack(f"<{rank}I") if rank else ()
-            layer_shapes.append(tuple(dims))
+            shapes.append(r.unpack(f"<{rank}I"))
+        headers.append((kind, cfg_text, shapes))
+    payload = 8 * sum(math.prod(shape) for *_, shapes in headers for shape in shapes)
+    left = len(blob) - r.pos
+    if payload != left:  # checked before any layer is built
+        raise FormatError("model file truncated" if payload > left
+                          else "trailing bytes after model payload")
+    layers = []
+    for index, (kind, cfg_text, shapes) in enumerate(headers):
         try:
             layer = _rebuild(kind, _cfg_parse(cfg_text.decode("utf-8")))
         except KeyError as exc:
             raise FormatError(f"layer {index} ({kind}): missing config key {exc}") from exc
         except ValueError as exc:
             raise FormatError(f"layer {index} ({kind}): {exc}") from exc
-        layers.append(layer)
-        shapes.append(layer_shapes)
-    for layer, layer_shapes in zip(layers, shapes):
         _, _, params = _describe(layer)
-        if len(params) != len(layer_shapes):
-            raise FormatError("parameter count mismatch after rebuild")
-        for p, shape in zip(params, layer_shapes):
-            if p.data.shape != shape:
-                raise FormatError(f"parameter shape {shape} != expected {p.data.shape}")
-            raw = r.take(int(np.prod(shape, dtype=np.int64)) * 8)
-            p.data[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    if r.pos != len(blob):
-        raise FormatError("trailing bytes after model payload")
+        if [p.data.shape for p in params] != shapes:
+            raise FormatError(f"layer {index} ({kind}): parameter shapes {shapes} != "
+                              f"expected {[p.data.shape for p in params]}")
+        for p, shape in zip(params, shapes):
+            p.data[...] = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        layers.append(layer)
     return tr.Network(layers)

@@ -218,6 +218,8 @@ def mean(a: Tensor, axis=None) -> Tensor:
     ``scale(sum_(a, axis), 1 / count)``, count the entries summed into
     each output."""
     axes = _axes(a, axis)
+    if 0 in (a.data.shape[ax] for ax in axes):
+        raise ShapeError(f"mean: axes {axes} of shape {a.data.shape} hold no entries")
     alpha = 1.0 / int(np.prod([a.data.shape[ax] for ax in axes]))
     return _node(alpha * a.data.sum(axis=axes), (a,),
                  lambda g: (np.broadcast_to(np.expand_dims(alpha * g, axes), a.data.shape).copy(),))

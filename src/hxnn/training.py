@@ -341,12 +341,6 @@ class Network(Layer):
         return x
 
 
-class Flatten(Layer):
-    def forward(self, x):
-        n = x.data.shape[0]
-        return T.reshape(x, (n, int(np.prod(x.data.shape[1:]))))
-
-
 class AvgPool(Layer):
     def __init__(self, window=2):
         if window < 1:

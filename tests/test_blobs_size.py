@@ -5,7 +5,8 @@ the experiment rejects it before it makes any data.
 experiment's convnet pools twice by 2x2, so its ``image_size`` must be a
 positive multiple of 4.  A ``hxnn train`` or ``hxnn eval`` config
 follows the same rule: ``config.read_run`` rejects a convnet whose
-``[data] size`` breaks it, or whose dataset is not blobs.
+``[data] size`` breaks it, or whose dataset is not blobs, and an mlp on
+blobs, whose images it cannot size.
 """
 import pytest
 
@@ -73,9 +74,10 @@ def test_read_run_rejects_a_convnet_on_a_dataset_other_than_blobs():
         C.read_run(cfg)
 
 
-def test_read_run_checks_only_convnets_against_the_pools():
+def test_read_run_rejects_an_mlp_on_blobs_before_the_pools_check():
     cfg = C.parse_config(convnet_cfg(6, kind="mlp"))
-    assert C.read_run(cfg)[0].keywords["size"] == 6
+    with pytest.raises(ConfigError, match="mlp needs dataset = lorenz, not blobs"):
+        C.read_run(cfg)
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -89,13 +91,29 @@ def test_cli_with_a_convnet_on_data_it_cannot_take_exits_one_before_making_data(
     made = []
     for maker in ("make_rgb_blobs", "lorenz_trajectories"):
         monkeypatch.setattr(tr, maker, lambda *a, **k: made.append(a))
-    cfg = tmp_path / "phc.cfg"
-    cfg.write_text(convnet_cfg(size, dataset, task))
-    model = tmp_path / "model.hxnn"
-    if command == "eval":  # a valid model file, so only the config can fail
-        S.save_model(tr.blobs_classifier("phc", 0, channels=6), model)
-    args = ["train", str(cfg), "--out", str(tmp_path / "out")] if command == "train" \
-        else ["eval", str(model), str(cfg)]
-    assert main(args) == 1
+    assert main(cli_args(command, convnet_cfg(size, dataset, task), tmp_path)) == 1
     assert message in capsys.readouterr().err
+    assert made == [] and not (tmp_path / "out").exists()
+
+
+def cli_args(command, cfg_text, tmp_path):
+    """``hxnn train`` or ``hxnn eval`` argv on ``cfg_text``; eval gets a
+    valid model file, so only the config can fail."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    if command == "train":
+        return ["train", str(cfg), "--out", str(tmp_path / "out")]
+    model = tmp_path / "model.hxnn"
+    S.save_model(tr.blobs_classifier("phc", 0, channels=6), model)
+    return ["eval", str(model), str(cfg)]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_with_an_mlp_on_blobs_exits_one_before_making_data(command, capsys, monkeypatch,
+                                                               tmp_path):
+    made = []
+    for maker in ("make_rgb_blobs", "lorenz_trajectories"):
+        monkeypatch.setattr(tr, maker, lambda *a, **k: made.append(a))
+    assert main(cli_args(command, convnet_cfg(kind="mlp"), tmp_path)) == 1
+    assert "needs dataset = lorenz" in capsys.readouterr().err
     assert made == [] and not (tmp_path / "out").exists()

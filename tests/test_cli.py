@@ -285,6 +285,17 @@ def test_cli_train_on_blobs_without_the_classification_task_exits_one(capsys, tm
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_train_has_no_seed_flag(capsys, tmp_path):
+    # the file's [train] seed seeds the data, the model and the batches alike
+    cfg = tmp_path / "lorenz.cfg"
+    cfg.write_text(LORENZ_MLP_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_file_exits_two(capsys, tmp_path):
     assert main(["train", str(tmp_path / "none.cfg")]) == 2
     assert "i/o error" in capsys.readouterr().err

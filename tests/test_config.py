@@ -24,12 +24,11 @@ def test_train_config_defaults_are_the_dataclass_defaults():
     assert C.train_config_from({}) == tr.TrainConfig()
 
 
-def test_train_config_reads_the_file_and_the_seed_override_wins():
+def test_train_config_reads_the_file():
     cfg = {"train": {"seed": "3", "lr": "0.5", "optimizer": "sgd",
                      "early_stop_train_loss": "0.25"}}
     assert C.train_config_from(cfg) == tr.TrainConfig(
         seed=3, lr=0.5, optimizer="sgd", early_stop_train_loss=0.25)
-    assert C.train_config_from(cfg, seed_override=9).seed == 9
 
 
 @pytest.mark.parametrize("key, value", [("epochs", "ten"), ("early_stop_train_loss", "low"),
@@ -42,7 +41,8 @@ def test_bad_train_value_is_a_config_error(key, value):
 @pytest.mark.parametrize("dataset, train", [("blobs", {}), ("blobs", {"task": "regression"}),
                                             ("lorenz", {"task": "classification"})])
 def test_a_task_the_dataset_does_not_fit_is_a_config_error(dataset, train):
-    cfg = {"model": {"kind": "mlp"}, "data": {"dataset": dataset}, "train": train}
+    kind = {"blobs": "convnet", "lorenz": "mlp"}[dataset]  # the model kind the dataset takes
+    cfg = {"model": {"kind": kind}, "data": {"dataset": dataset}, "train": train}
     with pytest.raises(ConfigError, match="train.task") as exc:
         C.read_run(cfg)
     assert f"task = {C.DATASET_TASKS[dataset]}" in str(exc.value)

@@ -82,7 +82,7 @@ def test_mixed_n_network_is_left_untouched_after_algebra_mismatch():
 
 
 def test_a_network_without_learned_grids_still_raises_type_error():
-    net = tr.Network([L.HFCLayer(alg.builtin("complex"), 4, 4, rng=rng()), tr.Flatten()])
+    net = tr.Network([L.HFCLayer(alg.builtin("complex"), 4, 4, rng=rng()), tr.Narrow(0, 2)])
     with pytest.raises(TypeError, match="Network has no learned grid matrices"):
         P.collapse_to_algebra(net, alg.builtin("complex"))
 

@@ -2,7 +2,11 @@
 learning rate or Adam ``eps`` that is not a finite positive number, an
 Adam ``beta1`` or ``beta2`` outside [0, 1) and a blobs split with no
 train or no test sample fail with the package's own errors instead of
-passing silently."""
+passing silently.  An experiment config builds its ``TrainConfig`` when
+it is constructed, so its training settings fail before any data is
+made."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,11 +141,34 @@ def test_cli_train_with_a_bad_adam_constant_exits_one_before_any_data_is_made(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, line, shown", [("blobs", "lr = 0", "lr=0.0"),
+                                               ("lorenz", "batch_size = 0", "batch_size=0")])
+def test_cli_experiment_with_a_bad_training_setting_exits_one_before_making_data(
+        name, line, shown, capsys, monkeypatch, tmp_path):
+    made = []
+    for maker in ("make_rgb_blobs", "linear_probe_accuracy", "lorenz_trajectories"):
+        monkeypatch.setattr(tr, maker, lambda *a, **k: made.append(a))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[train]\nepochs = 1\n{line}\n")
+    assert main(["experiment", name, str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert shown in capsys.readouterr().err
+    assert made == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cls", [ex.BlobsConfig, ex.LorenzConfig])
+def test_an_experiment_config_keeps_its_train_config_in_step(cls):
+    config = cls()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.lr = 0.5
+    assert dataclasses.replace(config, lr=0.5, seed=7).train == dataclasses.replace(
+        config.train, lr=0.5, seed=7)
+
+
 def test_lorenz_experiment_with_a_nan_lr_raises_instead_of_reporting_nan():
-    # one batch per epoch: the loss is taken before the NaN update lands
-    cfg = ex.LorenzConfig(num_seeds=1, epochs=1, trajectories=4, steps=200, lr=float("nan"))
+    # rejected where the config is built, before any data is made
     with pytest.raises(ConfigError, match="lr=nan"):
-        ex.experiment_lorenz_equivariance(cfg)
+        ex.experiment_lorenz_equivariance(
+            ex.LorenzConfig(num_seeds=1, epochs=1, trajectories=4, steps=200, lr=float("nan")))
 
 
 @pytest.mark.parametrize("samples_per_class, train_fraction", [(0, 5 / 6), (1, 5 / 6),

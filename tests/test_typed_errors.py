@@ -1,6 +1,7 @@
 """Bad layer arguments fail with the package's own errors at construction,
 through ``load_model`` and through ``config.read_model``; a mutated or
-truncated model file lets only ``FormatError`` escape ``load_model``."""
+truncated model file lets only ``FormatError`` escape ``load_model``;
+each bad value in ``BAD_VALUES`` raises its own error type, naming it."""
 import os
 import tempfile
 
@@ -15,7 +16,7 @@ from hxnn import serialize as S
 from hxnn import tensor as T
 from hxnn import training as tr
 from hxnn.algebra import builtin, check_property
-from hxnn.errors import ConfigError, FormatError, ShapeError
+from hxnn.errors import ConfigError, DivisibilityError, FormatError, ShapeError
 from hxnn.layers import HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
 from hxnn.phlayers import PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer
 from test_serialize import file_with_cfg
@@ -105,7 +106,7 @@ def every_kind_model():
         PHCLayer(3, 3, 6, 3, padding=1, rng=r),
         att,
         PHGraphLayer(2, 4, 4, rng=r),
-        tr.Flatten(), tr.AvgPool(2), tr.GlobalAvgPool(), tr.Narrow(0, 2),
+        tr.AvgPool(2), tr.GlobalAvgPool(), tr.Narrow(0, 2),
     ])
 
 
@@ -244,3 +245,47 @@ def test_an_optimizer_changed_after_construction_raises_config_error():
     with pytest.raises(ConfigError) as exc:
         tr.train(net, ds, config)
     assert type(exc.value) is ConfigError
+
+
+def zeros(*shape):
+    return T.Tensor(np.zeros(shape))
+
+
+# name -> (call, its error type, text naming the bad value)
+BAD_VALUES = {
+    "conv2d kernel over the padded input": (
+        lambda: T.conv2d(zeros(1, 1, 2, 2), zeros(1, 1, 5, 5), padding=1), ShapeError, "(5, 5)"),
+    "avg_pool2d window off the grid": (
+        lambda: T.avg_pool2d(zeros(1, 1, 5, 5), 2), ShapeError, "window 2"),
+    "mul shapes": (lambda: T.mul(zeros(2), zeros(3)), ShapeError, "(3,)"),
+    "reshape size": (lambda: T.reshape(zeros(6), (4,)), ShapeError, "(4,)"),
+    "concat shapes": (lambda: T.concat([zeros(2, 3), zeros(2, 4)], 0), ShapeError, "(2, 4)"),
+    "bias length": (lambda: T.bias_act(zeros(2, 3), zeros(4), "none"), ShapeError, "(4,)"),
+    "mean over an empty axis": (lambda: T.mean(zeros(0, 3), 0), ShapeError, "(0, 3)"),
+    "mean over empty image axes": (lambda: T.mean(zeros(2, 3, 0, 0), (2, 3)), ShapeError,
+                                   "(2, 3, 0, 0)"),
+    "mse shapes": (lambda: tr.mse(zeros(2, 3), np.zeros((2, 4))), ShapeError, "(2, 4)"),
+    "cross_entropy logits rank": (lambda: tr.cross_entropy(zeros(3), [0]), ShapeError, "(3,)"),
+    "cross_entropy label count": (lambda: tr.cross_entropy(zeros(2, 3), [0, 1, 2]), ShapeError,
+                                  "labels (3,)"),
+    "hatt even kernel": (lambda: HAttBlock(Q, 4, kernel=2), ConfigError, "kernel=2"),
+    "hatt gate": (lambda: HAttBlock(Q, 4, gate="tanh"), ConfigError, "'tanh'"),
+    "phatt mode": (lambda: PHAttBlock(2, 4, mode="soft"), ConfigError, "'soft'"),
+    "phatt heads": (lambda: PHAttBlock(2, 6, heads=4), DivisibilityError, "features=6"),
+    "phatt input": (lambda: PHAttBlock(2, 4)(zeros(2, 4)), ShapeError, "(2, 4)"),
+    "config line": (lambda: C.parse_config("[model]\nkind mlp\n"), ConfigError, "'kind mlp'"),
+    "config dataset missing": (lambda: C.read_dataset({"data": {}}), ConfigError, "'dataset'"),
+    "config dataset": (lambda: C.read_dataset({"data": {"dataset": "mnist"}}), ConfigError,
+                       "'mnist'"),
+    "config algebra": (lambda: C.read_model({"model": {"kind": "mlp", "algebra": "quat"}}),
+                       ConfigError, "'quat'"),
+    "config model kind": (lambda: C.read_model({"model": {"kind": "rnn"}}), ConfigError, "'rnn'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_a_bad_value_raises_its_typed_error_naming_it(case):
+    call, error, named = BAD_VALUES[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and named in str(exc.value)
