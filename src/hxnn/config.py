@@ -11,7 +11,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError
-from .algebra import BUILTIN_NAMES, builtin
+from .algebra import BUILTIN_NAMES, Algebra, builtin
+from .layers import _check_divisible
 from .phlayers import linear_layer
 from . import training as tr
 
@@ -160,7 +161,10 @@ def _flat_lorenz(seed, **kwargs) -> tr.Dataset:
 
 def read_model(cfg: dict):
     """Read the model keys of ``cfg``; returns the function of
-    (feature_dim, target_dim) that builds the network."""
+    (feature_dim, target_dim) that builds the network.  The widths the
+    file fixes (a PHM ``n``, the convnet's channels, the mlp's hidden
+    widths) go through the layers' own check here, before any data is
+    made; the mlp's input width comes from the data, so building checks it."""
     kind = _get(cfg, "model", "kind")
     algebra_name = _get(cfg, "model", "algebra", "real")
     seed = _get(cfg, "train", "seed", 0, int)
@@ -172,13 +176,18 @@ def read_model(cfg: dict):
         family = builtin(algebra_name)
     else:
         raise ConfigError(f"unknown algebra {algebra_name!r}")
+    n = family.n if isinstance(family, Algebra) else _check_divisible(family, 1, "model.n")
     if kind == "convnet":
         channels = _get(cfg, "model", "channels", 24, int)
         classes = _get(cfg, "model", "classes", 4, int)
+        for what, width in (("image channels", 3), ("model.channels", channels)):
+            _check_divisible(width, n, what)
         return lambda feature_dim, target_dim: tr.convnet(family, channels, classes,
                                                           activation, rng())
     if kind == "mlp":
         hidden = _get(cfg, "model", "hidden", [32], _int_list)
+        for width in hidden:
+            _check_divisible(width, n, "model.hidden")
 
         def mlp(feature_dim, target_dim):
             if feature_dim is None or target_dim is None:

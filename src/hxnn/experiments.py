@@ -14,7 +14,7 @@ from . import tensor as T
 from . import training as tr
 from .algebra import builtin
 from .errors import ConfigError, DivisibilityError
-from .layers import Graph, HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer
+from .layers import Graph, HAttBlock, HConv2DLayer, HFCLayer, HGraphConvLayer, _check_divisible
 from .phlayers import (PHAttBlock, PHCLayer, PHGraphLayer, PHMLayer, conv_layer, grid_owners,
                        linear_layer)
 
@@ -138,6 +138,7 @@ class BlobsConfig(_Epochs):
     def __post_init__(self):  # before any data is made: the convnet pools twice by 2x2
         super().__post_init__()
         tr.check_convnet_size(self.image_size, "image_size")
+        _check_divisible(self.channels, tr.BLOBS_FAMILIES["phc"], "channels")  # real's n is 1
         object.__setattr__(self, "train", tr.TrainConfig(
             seed=self.seed, epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
             task="classification", early_stop_train_loss=self.early_stop_train_loss))

@@ -1,11 +1,13 @@
 """Ops that the package itself no longer calls, kept as oracles and
 fixtures for the tests: tensor ops, each one autodiff node built with
-``tensor._node`` or over the package's own ops, and algebra helpers, the
-product as a loop over (..., n) coefficient columns among them."""
+``tensor._node`` or over the package's own ops, algebra helpers, the
+product as a loop over (..., n) coefficient columns among them, and the
+Lorenz right-hand side with the RK4 step on state arrays."""
 import numpy as np
 
 from hxnn import algebra as alg
 from hxnn import tensor as T
+from hxnn.training import LORENZ_BETA, LORENZ_RHO, LORENZ_SIGMA
 
 
 def add(a: T.Tensor, b: T.Tensor) -> T.Tensor:
@@ -63,3 +65,20 @@ def multiply_arrays_loop(a, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             elif s < 0:
                 out[..., k] -= x[..., i] * y[..., j]
     return out
+
+
+def lorenz_rhs(state):
+    x, y, z = state
+    return np.array([
+        LORENZ_SIGMA * (y - x),
+        x * (LORENZ_RHO - z) - y,
+        x * y - LORENZ_BETA * z,
+    ])
+
+
+def rk4_step(f, y, dt):
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

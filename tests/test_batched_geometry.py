@@ -6,16 +6,19 @@ replaced, with their arithmetic unchanged.  Every comparison is on
 ``tobytes()``: the array code must reproduce the loops bit for bit,
 signed zeros included.
 """
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hxnn import experiments as ex
 from hxnn import geometry as G
 from hxnn import training as tr
 from hxnn.algebra import builtin, multiply_arrays
-from hxnn.errors import NormalizationError
+from hxnn.errors import ConfigError, NormalizationError
+from oracle_ops import lorenz_rhs, rk4_step
 
 QUATERNION = builtin("quaternion")
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -95,16 +98,21 @@ def rotate_ref(points, q):
 
 def lorenz_ref(seed, count, steps, dt=0.01, sample_every=10, window=8,
                burn_in=500, test_fraction=0.25):
+    """One trajectory at a time on (3,) state arrays; ``ConfigError`` if
+    any state after burn-in is not finite."""
     rng = np.random.Generator(np.random.PCG64(seed))
     all_inputs, all_targets, owners = [], [], []
     for traj in range(count):
         y = rng.uniform(-12.0, 12.0, size=3) + np.array([0.0, 0.0, 24.0])
-        for _ in range(burn_in):
-            y = tr.rk4_step(tr.lorenz_rhs, y, dt)
         recorded = np.empty((steps, 3))
-        for s in range(steps):
-            y = tr.rk4_step(tr.lorenz_rhs, y, dt)
-            recorded[s] = y
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(burn_in):
+                y = rk4_step(lorenz_rhs, y, dt)
+            for s in range(steps):
+                y = rk4_step(lorenz_rhs, y, dt)
+                recorded[s] = y
+        if not np.isfinite(recorded).all():
+            raise ConfigError(f"trajectory {traj} leaves the finite range")
         series = recorded[::sample_every]
         for start in range(len(series) - window):
             all_inputs.append(series[start : start + window])
@@ -228,6 +236,66 @@ def test_lorenz_datasets_match_per_trajectory_loop(seed, count, steps, sample_ev
     assert same_bytes(ds.train_idx, train_idx)
     assert same_bytes(ds.test_idx, test_idx)
     assert ds.inputs.flags.c_contiguous and ds.targets.flags.c_contiguous
+
+
+# sha256 of inputs.tobytes() and targets.tobytes() at the default dt,
+# sample_every and window, taken from the integrator that stepped all
+# trajectories as one (3, count) state array: the LorenzConfig default
+# and the lorenz_train benchmark size
+LORENZ_SHA256 = {
+    (0, 12, 1600): ("bcb0f82b5c742b25e6a5debeefe0d0120d92f91d735aa5c80b9f2b1fc7171575",
+                    "4f438fde6e0b65e6723811c026ab46b97217767a83d2075f6cb8a7c33e7a0422"),
+    (1001, 8, 1200): ("020825617c0812d19109048e2353843f4bc6cec80da55d7c50bd2238c2e8b6c1",
+                      "0141199bd73ca59268006c7512a744c7ec66e57102b0757dd9ee6e56f8726d29"),
+}
+
+
+@pytest.mark.parametrize("seed, count, steps", sorted(LORENZ_SHA256))
+def test_lorenz_datasets_match_their_sha256_pins(seed, count, steps):
+    ds = tr.lorenz_trajectories(seed, count=count, steps=steps)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in (ds.inputs, ds.targets)) == LORENZ_SHA256[seed, count, steps]
+
+
+def lorenz_matches_ref(seed, count, steps, dt, sample_every, window, burn_in):
+    """``lorenz_trajectories`` raises ``ConfigError`` where ``lorenz_ref``
+    does, and returns its bytes elsewhere."""
+    assume(len(range(0, steps, sample_every)) > window)  # else the sizes are rejected
+    kwargs = dict(dt=dt, sample_every=sample_every, window=window, burn_in=burn_in)
+    try:
+        ref = lorenz_ref(seed, count, steps, **kwargs)
+    except ConfigError:
+        with pytest.raises(ConfigError, match="leave the finite range"):
+            tr.lorenz_trajectories(seed, count, steps, **kwargs)
+        return
+    ds = tr.lorenz_trajectories(seed, count, steps, **kwargs)
+    for got, want in zip((ds.inputs, ds.targets, ds.train_idx, ds.test_idx), ref):
+        assert same_bytes(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 20), count=st.integers(2, 6), steps=st.integers(2, 160),
+       dt=st.floats(0.0, 0.02, exclude_min=True), sample_every=st.integers(1, 12),
+       window=st.integers(1, 6), burn_in=st.integers(0, 300))
+def test_lorenz_datasets_match_the_array_rk4_oracle(seed, count, steps, dt, sample_every,
+                                                    window, burn_in):
+    lorenz_matches_ref(seed, count, steps, dt, sample_every, window, burn_in)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 20), count=st.integers(2, 6), steps=st.integers(2, 40),
+       dt=st.floats(0.02, 0.4), sample_every=st.integers(1, 8), window=st.integers(1, 4),
+       burn_in=st.integers(0, 20))
+def test_lorenz_blow_ups_raise_config_error_where_the_oracle_does(seed, count, steps, dt,
+                                                                  sample_every, window, burn_in):
+    lorenz_matches_ref(seed, count, steps, dt, sample_every, window, burn_in)
+
+
+def test_a_blow_up_after_the_last_sample_raises_config_error():
+    # the kept states (steps 0 and 4) are finite; trajectory 0 overflows at step 5
+    with pytest.raises(ConfigError, match="dt=0.15"):
+        tr.lorenz_trajectories(0, count=4, steps=6, dt=0.15, sample_every=4, window=1,
+                               burn_in=0)
 
 
 # -----------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """A diverging run, a negative ``Narrow`` slice, negative conv padding, a
 learning rate or Adam ``eps`` that is not a finite positive number, an
-Adam ``beta1`` or ``beta2`` outside [0, 1) and a blobs split with no
-train or no test sample fail with the package's own errors instead of
-passing silently.  An experiment config builds its ``TrainConfig`` when
-it is constructed, so its training settings fail before any data is
-made."""
+Adam ``beta1`` or ``beta2`` outside [0, 1), a NaN
+``early_stop_train_loss`` (no loss is below it, so it would turn early
+stopping off) and a blobs split with no train or no test sample fail
+with the package's own errors instead of passing silently.  An
+experiment config builds its ``TrainConfig`` when it is constructed, so
+its training settings fail before any data is made."""
 import dataclasses
 
 import numpy as np
@@ -141,8 +142,11 @@ def test_cli_train_with_a_bad_adam_constant_exits_one_before_any_data_is_made(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name, line, shown", [("blobs", "lr = 0", "lr=0.0"),
-                                               ("lorenz", "batch_size = 0", "batch_size=0")])
+@pytest.mark.parametrize("name, line, shown", [
+    ("blobs", "lr = 0", "lr=0.0"),
+    ("lorenz", "batch_size = 0", "batch_size=0"),
+    ("blobs", "early_stop_train_loss = nan", "early_stop_train_loss=nan"),
+])
 def test_cli_experiment_with_a_bad_training_setting_exits_one_before_making_data(
         name, line, shown, capsys, monkeypatch, tmp_path):
     made = []
@@ -152,6 +156,37 @@ def test_cli_experiment_with_a_bad_training_setting_exits_one_before_making_data
     cfg.write_text(f"[train]\nepochs = 1\n{line}\n")
     assert main(["experiment", name, str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert shown in capsys.readouterr().err
+    assert made == [] and not (tmp_path / "out").exists()
+
+
+def test_train_config_rejects_a_nan_early_stop_train_loss():
+    with pytest.raises(ConfigError, match="early_stop_train_loss=nan"):
+        tr.TrainConfig(early_stop_train_loss=float("nan"))
+
+
+@pytest.mark.parametrize("value", [None, 0.0, -1.0, float("inf"), -float("inf")])
+def test_train_config_keeps_an_early_stop_train_loss_that_is_not_nan(value):
+    assert tr.TrainConfig(early_stop_train_loss=value).early_stop_train_loss == value
+
+
+def test_blobs_experiment_with_a_nan_early_stop_raises_before_making_data(monkeypatch):
+    made = []
+    for maker in ("make_rgb_blobs", "linear_probe_accuracy"):
+        monkeypatch.setattr(tr, maker, lambda *a, **k: made.append(a))
+    with pytest.raises(ConfigError, match="early_stop_train_loss=nan"):
+        ex.experiment_blobs(ex.BlobsConfig(epochs=1, early_stop_train_loss=float("nan")))
+    assert made == []
+
+
+def test_cli_train_with_a_nan_early_stop_exits_one_before_any_data_is_made(
+        monkeypatch, capsys, tmp_path):
+    made = []
+    monkeypatch.setattr(tr, "lorenz_trajectories", lambda *a, **k: made.append(a))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nkind = mlp\n[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
+                   "[train]\nepochs = 2\nearly_stop_train_loss = nan\n")
+    assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "early_stop_train_loss=nan" in capsys.readouterr().err
     assert made == [] and not (tmp_path / "out").exists()
 
 
