@@ -46,12 +46,8 @@ def cmd_paramtable(args) -> int:
 
 
 def cmd_train(args) -> int:
-    make_dataset, tcfg, make_model = cfgmod.read_run(cfgmod.load_config(args.config))
-    dataset = make_dataset()
-    feature_dim = dataset.inputs.shape[1] if dataset.inputs.ndim == 2 else None
-    target_dim = dataset.targets.shape[1] if dataset.targets.ndim == 2 else None
-    model = make_model(feature_dim, target_dim)
-    metrics = tr.train(model, dataset, tcfg)
+    make_dataset, tcfg, model = cfgmod.read_run(cfgmod.load_config(args.config))
+    metrics = tr.train(model, make_dataset(), tcfg)
     free, dense = model.param_count()
     print(f"free_params={free} dense_params={dense}")
     for epoch, (loss, score) in enumerate(zip(metrics.losses, metrics.scores), start=1):

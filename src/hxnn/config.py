@@ -1,7 +1,7 @@
 """Plain-text experiment configs: ``key = value`` lines under [model],
 [data], [train] sections, '#' comments, and no silent typo tolerance.
-A command reads its file through ``Reads``, which records the keys its
-readers look up, and rejects every other key before building anything.
+Through ``Reads``, a command rejects every key its readers do not look
+up, and a run builds its model from the file alone, before any data.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .phlayers import linear_layer
 from . import training as tr
 
 SECTIONS = ("model", "data", "train")
+LORENZ_WINDOW = 8  # the default [data] window, read by the Lorenz data and the mlp
 
 ALLOWED_KEYS = {
     "model": {"kind", "algebra", "n", "hidden", "channels", "classes", "activation"},
@@ -148,7 +149,7 @@ def read_dataset(cfg: dict):
             steps=_get(cfg, "data", "steps", 1600, int),
             dt=_get(cfg, "data", "dt", 0.01, float),
             sample_every=_get(cfg, "data", "sample_every", 10, int),
-            window=_get(cfg, "data", "window", 8, int),
+            window=_get(cfg, "data", "window", LORENZ_WINDOW, int),
         )
     raise ConfigError(f"unknown dataset {kind!r}")
 
@@ -160,11 +161,11 @@ def _flat_lorenz(seed, **kwargs) -> tr.Dataset:
 
 
 def read_model(cfg: dict):
-    """Read the model keys of ``cfg``; returns the function of
-    (feature_dim, target_dim) that builds the network.  The widths the
-    file fixes (a PHM ``n``, the convnet's channels, the mlp's hidden
-    widths) go through the layers' own check here, before any data is
-    made; the mlp's input width comes from the data, so building checks it."""
+    """Read the model keys of ``cfg``; returns the function of no
+    arguments that builds the network: a convnet on the blobs images or
+    an mlp on ``_flat_lorenz``'s windows.  The widths (a PHM ``n``, the
+    convnet's channels, the mlp's input and hidden widths) go through the
+    layers' own check here, named by their keys, before any data is made."""
     kind = _get(cfg, "model", "kind")
     algebra_name = _get(cfg, "model", "algebra", "real")
     seed = _get(cfg, "train", "seed", 0, int)
@@ -179,24 +180,25 @@ def read_model(cfg: dict):
     n = family.n if isinstance(family, Algebra) else _check_divisible(family, 1, "model.n")
     if kind == "convnet":
         channels = _get(cfg, "model", "channels", 24, int)
-        classes = _get(cfg, "model", "classes", 4, int)
+        classes = _get(cfg, "model", "classes", tr.BLOBS_CLASSES, int)
+        if classes != tr.BLOBS_CLASSES:
+            raise ConfigError(f"model.classes={classes}: blobs has {tr.BLOBS_CLASSES} classes")
         for what, width in (("image channels", 3), ("model.channels", channels)):
             _check_divisible(width, n, what)
-        return lambda feature_dim, target_dim: tr.convnet(family, channels, classes,
-                                                          activation, rng())
+        return lambda: tr.convnet(family, channels, classes, activation, rng())
     if kind == "mlp":
-        hidden = _get(cfg, "model", "hidden", [32], _int_list)
-        for width in hidden:
+        window = _get(cfg, "data", "window", LORENZ_WINDOW, int)
+        dims = [3 * window] + _get(cfg, "model", "hidden", [32], _int_list)
+        _check_divisible(dims[0], n, f"mlp input width (3 * data.window={window})")
+        for width in dims[1:]:
             _check_divisible(width, n, "model.hidden")
 
-        def mlp(feature_dim, target_dim):
-            if feature_dim is None or target_dim is None:
-                raise ConfigError("mlp models need a dataset to size input/output")
-            dims, r = [feature_dim] + hidden, rng()
+        def mlp():
+            r = rng()
             layers = [linear_layer(family, di, do, activation, rng=r)
                       for di, do in zip(dims[:-1], dims[1:])]
-            # real readout so the target width need not divide n
-            layers.append(linear_layer(builtin("real"), dims[-1], target_dim, "none", rng=r))
+            # real readout so the 3 Lorenz coordinates need not divide n
+            layers.append(linear_layer(builtin("real"), dims[-1], 3, "none", rng=r))
             return tr.Network(layers)
 
         return mlp
@@ -210,22 +212,21 @@ KIND_DATASETS = {"convnet": "blobs", "mlp": "lorenz"}
 
 
 def read_run(cfg: dict):
-    """Read the config of ``hxnn train`` and ``hxnn eval``: (dataset
-    maker, ``TrainConfig``, model builder).  Every key is read before
-    anything is built, and a key none of the three reads, a model on
-    data it cannot take (not its kind's dataset, or an image size the
-    convnet's pools do not tile) or a task the dataset's targets do not
-    fit raises ``ConfigError``, so one file serves both commands."""
+    """Read the config of ``hxnn train`` and ``hxnn eval`` (one file serves
+    both): (dataset maker, ``TrainConfig``, model), the model built last.
+    Before the build, a key none of the three reads, a model on data it
+    cannot take (not its kind's dataset, or an image size the convnet's
+    pools do not tile) or a task its dataset does not fit is a ``ConfigError``."""
     reads = Reads(cfg)
-    run = read_dataset(reads), train_config_from(reads), read_model(reads)
+    make_dataset, tcfg, build = read_dataset(reads), train_config_from(reads), read_model(reads)
     reads.reject_unread("train and eval")
-    dataset, task, kind = _get(cfg, "data", "dataset"), run[1].task, _get(cfg, "model", "kind")
+    dataset, task, kind = _get(cfg, "data", "dataset"), tcfg.task, _get(cfg, "model", "kind")
     if dataset != KIND_DATASETS[kind]:
         raise ConfigError(f"model.kind = {kind} needs dataset = {KIND_DATASETS[kind]}, "
                           f"not {dataset}")
     if kind == "convnet":
-        tr.check_convnet_size(run[0].keywords["size"], "data.size")
+        tr.check_convnet_size(make_dataset.keywords["size"], "data.size")
     if task != DATASET_TASKS[dataset]:
         raise ConfigError(f"train.task = {task} does not fit dataset {dataset}: "
                           f"set task = {DATASET_TASKS[dataset]} in [train]")
-    return run
+    return make_dataset, tcfg, build()

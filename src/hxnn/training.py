@@ -31,6 +31,7 @@ from .phlayers import conv_layer, linear_layer
 
 LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA = 10.0, 28.0, 8.0 / 3.0
 BLOBS_FAMILIES = {"phc": 3, "real": builtin("real")}  # blobs_classifier's convs by kind
+BLOBS_CLASSES = 4  # the stripe classes of make_rgb_blobs: 2 channels x 2 orientations
 
 # An epoch loss above this multiple of epoch 1's has diverged; the
 # ``TrainingDiverged`` docstring gives the measurements behind it.
@@ -61,8 +62,9 @@ class TrainConfig:
             raise ConfigError(f"task {self.task!r}: expected 'regression' or 'classification'")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size={self.batch_size}: must be at least 1")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs={self.epochs}: must not be negative")
+        for key, value in (("seed", self.seed), ("epochs", self.epochs)):
+            if value < 0:
+                raise ConfigError(f"{key}={value}: must not be negative")
         for key, value in (("lr", self.lr), ("eps", self.eps)):
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{key}={value!r}: must be a finite positive number")
@@ -239,9 +241,9 @@ def cross_entropy(logits: T.Tensor, labels) -> T.Tensor:
 # dataset generators
 
 
-def make_rgb_blobs(seed, classes=4, samples_per_class=600, size=16,
+def make_rgb_blobs(seed, samples_per_class=600, size=16,
                    noise=0.3, period=4, train_fraction=5 / 6):
-    """Synthetic 3-channel texture classification.
+    """Synthetic 3-channel texture classification over ``BLOBS_CLASSES``.
 
     Class c puts square-wave stripes (random phase, random amplitude)
     into one channel with one orientation: (channel, orientation) =
@@ -249,8 +251,6 @@ def make_rgb_blobs(seed, classes=4, samples_per_class=600, size=16,
     linear pixel model, while channel means still separate the channel
     pairs, so a linear probe lands near 50%.
     """
-    if classes != 4:
-        raise ConfigError("the stripe construction defines exactly 4 classes")
     if size < 1:
         raise ConfigError(f"size={size}: an image is at least one pixel wide")
     per_train = int(samples_per_class * train_fraction)
@@ -258,9 +258,9 @@ def make_rgb_blobs(seed, classes=4, samples_per_class=600, size=16,
         raise ConfigError(f"samples_per_class={samples_per_class} gives {per_train} train and "
                           f"{samples_per_class - per_train} test samples per class (need 1 each)")
     rng = np.random.Generator(np.random.PCG64(seed))
-    n = classes * samples_per_class
+    n = BLOBS_CLASSES * samples_per_class
     images = rng.normal(0.0, noise, size=(n, 3, size, size))
-    labels = np.repeat(np.arange(classes), samples_per_class)
+    labels = np.repeat(np.arange(BLOBS_CLASSES), samples_per_class)
     coords = np.arange(size)
     for idx in range(n):
         c = labels[idx]
@@ -271,7 +271,7 @@ def make_rgb_blobs(seed, classes=4, samples_per_class=600, size=16,
         stripes = np.tile(wave, (size, 1)) if orientation == 0 else np.tile(wave[:, None], (1, size))
         images[idx, channel] += amp * stripes
     train_idx, test_idx = [], []
-    for c in range(classes):
+    for c in range(BLOBS_CLASSES):
         base = c * samples_per_class
         train_idx.extend(range(base, base + per_train))
         test_idx.extend(range(base + per_train, base + samples_per_class))
@@ -472,7 +472,7 @@ def convnet(family, channels, classes, activation, rng) -> Network:
     ])
 
 
-def blobs_classifier(kind, seed, channels=24, classes=4):
+def blobs_classifier(kind, seed, channels=24, classes=BLOBS_CLASSES):
     """The relu ``convnet``: ``kind`` is "phc" (n=3 parameterized convs)
     or "real" (dense convs of the same architecture)."""
     if kind not in BLOBS_FAMILIES:

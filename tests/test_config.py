@@ -13,7 +13,7 @@ from hxnn.errors import ConfigError
 ])
 def test_config_convnet_is_the_blobs_classifier(model, kind):
     cfg = {"model": {"kind": "convnet", "channels": "6", **model}, "train": {"seed": "17"}}
-    built = C.read_model(cfg)(None, None)
+    built = C.read_model(cfg)()
     reference = tr.blobs_classifier(kind, seed=17, channels=6)
     assert [type(l) for l in built.layers] == [type(l) for l in reference.layers]
     assert [p.data.tobytes() for p in built.parameters()] == [

@@ -103,10 +103,10 @@ def builder_digest():
         model = {"algebra": algebra, "activation": "sigmoid", **extra}
         train = {"train": {"seed": "3"}}
         _feed(h, C.read_model({"model": {"kind": "mlp", "hidden": "8,16", **model},
-                               **train})(24, 3))
+                               **train})())
         try:
             _feed(h, C.read_model({"model": {"kind": "convnet", "channels": "12", **model},
-                                   **train})(None, None))
+                                   **train})())
         except DivisibilityError:  # 3 input channels and n = 4
             h.update(f"{algebra} {extra} convnet: DivisibilityError".encode())
     rows = ex.experiment_param_table(["fc:64:64", "conv:24:24:3", "fc:12:24", "conv:6:12:1"])

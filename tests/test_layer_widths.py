@@ -3,13 +3,17 @@ or that is below 1, fails with the layers' own ``DivisibilityError`` or
 ``ConfigError``, and a command rejects it before it makes any data.
 
 ``config.read_model`` runs the layers' check on the widths a config
-fixes: the convnet's 3 image channels and ``[model] channels``, and
-each ``[model] hidden`` width of an mlp (a PHM ``n`` below 1 fails
-first).  ``BlobsConfig`` checks ``channels`` against the n = 3 of its
-PHC classifier.  The mlp's input width (``3 * window`` for the flat
-Lorenz encoding) depends on the data and is still checked only when
-the model is built, after the data is made.
+fixes, under the key's name: the convnet's 3 image channels and
+``[model] channels``, and an mlp's input width (``3 * [data] window``
+for the flat Lorenz encoding) and each ``[model] hidden`` width (a PHM
+``n`` below 1 fails first).  ``config.read_run`` then builds the model,
+so every other check a layer constructor makes, such as an unknown
+activation, also fails before any data; so does a ``[model] classes``
+other than the blobs task's 4.  ``BlobsConfig`` checks ``channels``
+against the n = 3 of its PHC classifier.
 """
+import re
+
 import pytest
 
 from hxnn import config as C
@@ -37,9 +41,9 @@ def convnet_cfg(algebra="algebra = phm\nn = 3", channels=6):
             "[train]\nepochs = 1\ntask = classification\n")
 
 
-def mlp_cfg(algebra="algebra = phm\nn = 3", hidden="6"):
+def mlp_cfg(algebra="algebra = phm\nn = 3", hidden="6", data=""):
     return (f"[model]\nkind = mlp\n{algebra}\nhidden = {hidden}\n"
-            "[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n[train]\nepochs = 1\n")
+            f"[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n{data}[train]\nepochs = 1\n")
 
 
 @pytest.mark.parametrize("channels, error, message", [
@@ -79,11 +83,17 @@ def test_cli_experiment_blobs_with_bad_channels_exits_one_before_making_data(cha
     (mlp_cfg(hidden="0"), "model.hidden=0 must be at least 1"),
     (mlp_cfg("algebra = quaternion", "6"), "model.hidden=6 is not divisible by n=4"),
     (mlp_cfg("algebra = phm\nn = -2"), "model.n=-2 must be at least 1"),
+    # window 8 gives 24 flat input features
+    (mlp_cfg("algebra = phm\nn = 5", "10"),
+     "mlp input width (3 * data.window=8)=24 is not divisible by n=5"),
+    (mlp_cfg("algebra = quaternion", "8", "window = 6\n"),
+     "mlp input width (3 * data.window=6)=18 is not divisible by n=4"),
+    (mlp_cfg(data="window = 0\n"), "mlp input width (3 * data.window=0)=0 must be at least 1"),
 ])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_cli_with_a_width_n_does_not_divide_exits_one_before_making_data(
         command, cfg_text, message, made, capsys, tmp_path):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         C.read_run(C.parse_config(cfg_text))
     assert main(cli_args(command, cfg_text, tmp_path)) == 1
     assert message in capsys.readouterr().err
@@ -93,13 +103,23 @@ def test_cli_with_a_width_n_does_not_divide_exits_one_before_making_data(
 @pytest.mark.parametrize("cfg_text", [convnet_cfg(), convnet_cfg("algebra = real", 5),
                                       mlp_cfg(), mlp_cfg(hidden="6, 9"),
                                       mlp_cfg("algebra = quaternion", "8, 4"),
-                                      mlp_cfg(hidden="")])
+                                      mlp_cfg(hidden=""),
+                                      mlp_cfg("algebra = phm\nn = 5", "10", "window = 5\n")])
 def test_read_run_keeps_widths_n_divides(cfg_text):
     C.read_run(C.parse_config(cfg_text))
 
 
-def test_cli_train_checks_the_mlp_input_width_once_the_data_is_made(capsys, tmp_path):
-    # window 8 gives 24 flat input features, which n = 5 does not divide
-    cfg = mlp_cfg("algebra = phm\nn = 5", "10")
-    assert main(cli_args("train", cfg, tmp_path)) == 1
-    assert "input features d=24 is not divisible by n=5" in capsys.readouterr().err
+@pytest.mark.parametrize("cfg_text, message", [
+    (mlp_cfg("algebra = phm\nn = 3\nactivation = tanh"), "unknown activation 'tanh'"),
+    (convnet_cfg("algebra = phm\nn = 3\nactivation = tanh"), "unknown activation 'tanh'"),
+    (convnet_cfg("algebra = phm\nn = 3\nclasses = 3"), "model.classes=3: blobs has 4 classes"),
+    (convnet_cfg("algebra = real\nclasses = 5"), "model.classes=5: blobs has 4 classes"),
+])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_with_a_model_its_layers_reject_exits_one_before_making_data(
+        command, cfg_text, message, made, capsys, tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        C.read_run(C.parse_config(cfg_text))
+    assert main(cli_args(command, cfg_text, tmp_path)) == 1
+    assert message in capsys.readouterr().err
+    assert made == [] and not (tmp_path / "out").exists()

@@ -2,8 +2,9 @@
 learning rate or Adam ``eps`` that is not a finite positive number, an
 Adam ``beta1`` or ``beta2`` outside [0, 1), a NaN
 ``early_stop_train_loss`` (no loss is below it, so it would turn early
-stopping off) and a blobs split with no train or no test sample fail
-with the package's own errors instead of passing silently.  An
+stopping off), a negative seed (numpy's generators take none) and a
+blobs split with no train or no test sample fail with the package's own
+errors instead of passing silently.  An
 experiment config builds its ``TrainConfig`` when it is constructed, so
 its training settings fail before any data is made."""
 import dataclasses
@@ -187,6 +188,34 @@ def test_cli_train_with_a_nan_early_stop_exits_one_before_any_data_is_made(
                    "[train]\nepochs = 2\nearly_stop_train_loss = nan\n")
     assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "early_stop_train_loss=nan" in capsys.readouterr().err
+    assert made == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cls", [tr.TrainConfig, ex.BlobsConfig, ex.LorenzConfig])
+def test_a_config_rejects_a_negative_seed(cls):
+    with pytest.raises(ConfigError, match="seed=-1: must not be negative"):
+        cls(seed=-1)
+    assert cls(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "{cfg}", "--out", "{out}"],
+    ["eval", "{model}", "{cfg}"],
+    ["experiment", "lorenz", "{cfg}", "--out", "{out}"],
+    ["experiment", "blobs", "--seed", "-5", "--out", "{out}"],
+])
+def test_cli_with_a_negative_seed_exits_one_before_making_data(argv, capsys, monkeypatch,
+                                                               tmp_path):
+    made = []
+    for maker in ("make_rgb_blobs", "linear_probe_accuracy", "lorenz_trajectories"):
+        monkeypatch.setattr(tr, maker, lambda *a, **k: made.append(a))
+    cfg, model = tmp_path / "run.cfg", tmp_path / "model.hxnn"
+    run = "[model]\nkind = mlp\n[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
+    cfg.write_text((run if argv[1] != "lorenz" else "") + "[train]\nepochs = 1\nseed = -1\n")
+    S.save_model(tr.Network([HFCLayer(builtin("real"), 24, 3)]), model)
+    paths = {"{cfg}": str(cfg), "{model}": str(model), "{out}": str(tmp_path / "out")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    assert "must not be negative" in capsys.readouterr().err
     assert made == [] and not (tmp_path / "out").exists()
 
 

@@ -87,7 +87,7 @@ def test_bad_constructor_arguments_in_a_file_raise_format_error(layer, old, new,
 ])
 def test_bad_constructor_arguments_in_a_config_raise_config_error(model):
     with pytest.raises(ConfigError):
-        C.read_model({"model": model, "train": {"seed": "1"}})(8, 3)
+        C.read_model({"model": model, "train": {"seed": "1"}})()
 
 
 def every_kind_model():
@@ -165,12 +165,6 @@ def test_truncated_file_raises_format_error(length):
 def test_overlapping_dataset_splits_raise_config_error():
     with pytest.raises(ConfigError) as exc:
         tr.Dataset(np.zeros((3, 2)), np.zeros(3), np.array([0, 1]), np.array([1, 2]))
-    assert type(exc.value) is ConfigError
-
-
-def test_blobs_with_other_than_four_classes_raise_config_error():
-    with pytest.raises(ConfigError) as exc:
-        tr.make_rgb_blobs(0, classes=3, samples_per_class=2, size=4)
     assert type(exc.value) is ConfigError
 
 
