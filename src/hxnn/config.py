@@ -2,6 +2,8 @@
 [data], [train] sections, '#' comments, and no silent typo tolerance.
 Through ``Reads``, a command rejects every key its readers do not look
 up, and a run builds its model from the file alone, before any data.
+``[data] dataset`` alone picks the run: ``blobs`` trains a convnet to
+classify the images, ``lorenz`` an mlp to regress the next state.
 """
 from __future__ import annotations
 
@@ -20,11 +22,11 @@ SECTIONS = ("model", "data", "train")
 LORENZ_WINDOW = 8  # the default [data] window, read by the Lorenz data and the mlp
 
 ALLOWED_KEYS = {
-    "model": {"kind", "algebra", "n", "hidden", "channels", "classes", "activation"},
+    "model": {"algebra", "n", "hidden", "channels", "activation"},
     "data": {"dataset", "samples_per_class", "size", "count", "steps", "dt",
              "sample_every", "window", "offsets"},
     "train": {"seed", "epochs", "batch_size", "lr", "optimizer", "beta1", "beta2",
-              "eps", "task", "early_stop_train_loss", "num_seeds"},
+              "eps", "early_stop_train_loss", "num_seeds"},
 }
 
 
@@ -126,32 +128,38 @@ def dataclass_from(cls, cfg: dict, keys: dict, seed=None):
 
 
 def train_config_from(cfg: dict) -> tr.TrainConfig:
-    keys = {f.name: f"train.{f.name}" for f in dataclasses.fields(tr.TrainConfig)}
+    """The [train] keys of ``cfg``; the task keeps its default, since the
+    dataset fixes it (``read_run``)."""
+    keys = {f.name: f"train.{f.name}" for f in dataclasses.fields(tr.TrainConfig)
+            if f.name in ALLOWED_KEYS["train"]}
     return dataclass_from(tr.TrainConfig, cfg, keys)
+
+
+def _is_blobs(cfg: dict) -> bool:
+    """Whether ``[data] dataset`` is blobs; the only other one is lorenz."""
+    dataset = _get(cfg, "data", "dataset")
+    if dataset not in ("blobs", "lorenz"):
+        raise ConfigError(f"unknown dataset {dataset!r}")
+    return dataset == "blobs"
 
 
 def read_dataset(cfg: dict):
     """Read the dataset keys of ``cfg``; returns the function that
-    generates the dataset."""
-    kind = _get(cfg, "data", "dataset")
-    if kind == "blobs":
-        return partial(
-            tr.make_rgb_blobs,
-            _get(cfg, "train", "seed", 0, int),
-            samples_per_class=_get(cfg, "data", "samples_per_class", 600, int),
-            size=_get(cfg, "data", "size", 16, int),
-        )
-    if kind == "lorenz":
-        return partial(
-            _flat_lorenz,
-            _get(cfg, "train", "seed", 0, int),
-            count=_get(cfg, "data", "count", 12, int),
-            steps=_get(cfg, "data", "steps", 1600, int),
-            dt=_get(cfg, "data", "dt", 0.01, float),
-            sample_every=_get(cfg, "data", "sample_every", 10, int),
-            window=_get(cfg, "data", "window", LORENZ_WINDOW, int),
-        )
-    raise ConfigError(f"unknown dataset {kind!r}")
+    generates the dataset.  A blobs image size must be one the convnet's
+    pools tile."""
+    blobs, seed = _is_blobs(cfg), train_config_from(cfg).seed
+    if blobs:
+        size = _get(cfg, "data", "size", 16, int)
+        tr.check_convnet_size(size, "data.size")
+        return partial(tr.make_rgb_blobs, seed,
+                       samples_per_class=_get(cfg, "data", "samples_per_class", 600, int),
+                       size=size)
+    return partial(_flat_lorenz, seed,
+                   count=_get(cfg, "data", "count", 12, int),
+                   steps=_get(cfg, "data", "steps", 1600, int),
+                   dt=_get(cfg, "data", "dt", 0.01, float),
+                   sample_every=_get(cfg, "data", "sample_every", 10, int),
+                   window=_get(cfg, "data", "window", LORENZ_WINDOW, int))
 
 
 def _flat_lorenz(seed, **kwargs) -> tr.Dataset:
@@ -162,71 +170,52 @@ def _flat_lorenz(seed, **kwargs) -> tr.Dataset:
 
 def read_model(cfg: dict):
     """Read the model keys of ``cfg``; returns the function of no
-    arguments that builds the network: a convnet on the blobs images or
-    an mlp on ``_flat_lorenz``'s windows.  The widths (a PHM ``n``, the
+    arguments that builds the network the dataset takes: a convnet
+    classifying the blobs images, or an mlp regressing the next state
+    from ``_flat_lorenz``'s windows.  The widths (a PHM ``n``, the
     convnet's channels, the mlp's input and hidden widths) go through the
     layers' own check here, named by their keys, before any data is made."""
-    kind = _get(cfg, "model", "kind")
+    blobs, seed = _is_blobs(cfg), train_config_from(cfg).seed
     algebra_name = _get(cfg, "model", "algebra", "real")
-    seed = _get(cfg, "train", "seed", 0, int)
     rng = lambda: np.random.Generator(np.random.PCG64(seed))
     activation = _get(cfg, "model", "activation", "relu")
     if algebra_name == "phm":
-        family = _get(cfg, "model", "n", 3 if kind == "convnet" else 2, int)
+        family = _get(cfg, "model", "n", 3 if blobs else 2, int)
     elif algebra_name in BUILTIN_NAMES:
         family = builtin(algebra_name)
     else:
         raise ConfigError(f"unknown algebra {algebra_name!r}")
     n = family.n if isinstance(family, Algebra) else _check_divisible(family, 1, "model.n")
-    if kind == "convnet":
+    if blobs:
         channels = _get(cfg, "model", "channels", 24, int)
-        classes = _get(cfg, "model", "classes", tr.BLOBS_CLASSES, int)
-        if classes != tr.BLOBS_CLASSES:
-            raise ConfigError(f"model.classes={classes}: blobs has {tr.BLOBS_CLASSES} classes")
         for what, width in (("image channels", 3), ("model.channels", channels)):
             _check_divisible(width, n, what)
-        return lambda: tr.convnet(family, channels, classes, activation, rng())
-    if kind == "mlp":
-        window = _get(cfg, "data", "window", LORENZ_WINDOW, int)
-        dims = [3 * window] + _get(cfg, "model", "hidden", [32], _int_list)
-        _check_divisible(dims[0], n, f"mlp input width (3 * data.window={window})")
-        for width in dims[1:]:
-            _check_divisible(width, n, "model.hidden")
+        return lambda: tr.convnet(family, channels, activation, rng())
+    window = _get(cfg, "data", "window", LORENZ_WINDOW, int)
+    dims = [3 * window] + _get(cfg, "model", "hidden", [32], _int_list)
+    _check_divisible(dims[0], n, f"mlp input width (3 * data.window={window})")
+    for width in dims[1:]:
+        _check_divisible(width, n, "model.hidden")
 
-        def mlp():
-            r = rng()
-            layers = [linear_layer(family, di, do, activation, rng=r)
-                      for di, do in zip(dims[:-1], dims[1:])]
-            # real readout so the 3 Lorenz coordinates need not divide n
-            layers.append(linear_layer(builtin("real"), dims[-1], 3, "none", rng=r))
-            return tr.Network(layers)
+    def mlp():
+        r = rng()
+        layers = [linear_layer(family, di, do, activation, rng=r)
+                  for di, do in zip(dims[:-1], dims[1:])]
+        # real readout so the 3 Lorenz coordinates need not divide n
+        layers.append(linear_layer(builtin("real"), dims[-1], 3, "none", rng=r))
+        return tr.Network(layers)
 
-        return mlp
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-# The one training task each dataset's targets fit, and the one dataset
-# each model kind takes.
-DATASET_TASKS = {"blobs": "classification", "lorenz": "regression"}
-KIND_DATASETS = {"convnet": "blobs", "mlp": "lorenz"}
+    return mlp
 
 
 def read_run(cfg: dict):
     """Read the config of ``hxnn train`` and ``hxnn eval`` (one file serves
     both): (dataset maker, ``TrainConfig``, model), the model built last.
-    Before the build, a key none of the three reads, a model on data it
-    cannot take (not its kind's dataset, or an image size the convnet's
-    pools do not tile) or a task its dataset does not fit is a ``ConfigError``."""
+    The dataset fixes the task: classification on blobs, regression on
+    lorenz.  Before the build, a key none of the three reads is a
+    ``ConfigError``."""
     reads = Reads(cfg)
     make_dataset, tcfg, build = read_dataset(reads), train_config_from(reads), read_model(reads)
     reads.reject_unread("train and eval")
-    dataset, task, kind = _get(cfg, "data", "dataset"), tcfg.task, _get(cfg, "model", "kind")
-    if dataset != KIND_DATASETS[kind]:
-        raise ConfigError(f"model.kind = {kind} needs dataset = {KIND_DATASETS[kind]}, "
-                          f"not {dataset}")
-    if kind == "convnet":
-        tr.check_convnet_size(make_dataset.keywords["size"], "data.size")
-    if task != DATASET_TASKS[dataset]:
-        raise ConfigError(f"train.task = {task} does not fit dataset {dataset}: "
-                          f"set task = {DATASET_TASKS[dataset]} in [train]")
-    return make_dataset, tcfg, build()
+    task = "classification" if _is_blobs(cfg) else "regression"
+    return make_dataset, dataclasses.replace(tcfg, task=task), build()

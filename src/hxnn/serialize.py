@@ -214,7 +214,7 @@ def load_model(path) -> tr.Network:
             raise FormatError(f"layer {index} ({kind}): missing config key {exc}") from exc
         except ValueError as exc:
             raise FormatError(f"layer {index} ({kind}): {exc}") from exc
-        _, _, params = _describe(layer)
+        params = _stored(layer)
         if [p.data.shape for p in params] != shapes:
             raise FormatError(f"layer {index} ({kind}): parameter shapes {shapes} != "
                               f"expected {[p.data.shape for p in params]}")

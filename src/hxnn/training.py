@@ -457,9 +457,9 @@ def check_convnet_size(size, what):
         raise ConfigError(f"{what}={size}: the convnet needs a positive multiple of 4")
 
 
-def convnet(family, channels, classes, activation, rng) -> Network:
+def convnet(family, channels, activation, rng) -> Network:
     """Three 3x3 conv stages over ``family`` (see ``phlayers.conv_layer``)
-    + pooled real linear head on 3-channel images."""
+    + pooled real linear head, on 3-channel images, to the blobs classes."""
     conv = lambda ci, co: conv_layer(family, ci, co, 3, 1, activation, rng=rng)
     return Network([
         conv(3, channels),
@@ -468,16 +468,16 @@ def convnet(family, channels, classes, activation, rng) -> Network:
         AvgPool(2),
         conv(channels, channels),
         GlobalAvgPool(),
-        HFCLayer(builtin("real"), channels, classes, activation="none", rng=rng),
+        HFCLayer(builtin("real"), channels, BLOBS_CLASSES, activation="none", rng=rng),
     ])
 
 
-def blobs_classifier(kind, seed, channels=24, classes=BLOBS_CLASSES):
+def blobs_classifier(kind, seed, channels=24):
     """The relu ``convnet``: ``kind`` is "phc" (n=3 parameterized convs)
     or "real" (dense convs of the same architecture)."""
     if kind not in BLOBS_FAMILIES:
         raise ConfigError(f"unknown classifier kind {kind!r}")
-    return convnet(BLOBS_FAMILIES[kind], channels, classes, "relu",
+    return convnet(BLOBS_FAMILIES[kind], channels, "relu",
                    np.random.Generator(np.random.PCG64(seed)))
 
 

@@ -1,8 +1,10 @@
 """Config files build the same models and train configs as the library's
 own builders and dataclass defaults."""
+import numpy as np
 import pytest
 
 from hxnn import config as C
+from hxnn import tensor as T
 from hxnn import training as tr
 from hxnn.errors import ConfigError
 
@@ -12,7 +14,8 @@ from hxnn.errors import ConfigError
     ({"algebra": "phm", "n": "3"}, "phc"),
 ])
 def test_config_convnet_is_the_blobs_classifier(model, kind):
-    cfg = {"model": {"kind": "convnet", "channels": "6", **model}, "train": {"seed": "17"}}
+    cfg = {"model": {"channels": "6", **model}, "data": {"dataset": "blobs"},
+           "train": {"seed": "17"}}
     built = C.read_model(cfg)()
     reference = tr.blobs_classifier(kind, seed=17, channels=6)
     assert [type(l) for l in built.layers] == [type(l) for l in reference.layers]
@@ -38,11 +41,11 @@ def test_bad_train_value_is_a_config_error(key, value):
         C.train_config_from({"train": {key: value}})
 
 
-@pytest.mark.parametrize("dataset, train", [("blobs", {}), ("blobs", {"task": "regression"}),
-                                            ("lorenz", {"task": "classification"})])
-def test_a_task_the_dataset_does_not_fit_is_a_config_error(dataset, train):
-    kind = {"blobs": "convnet", "lorenz": "mlp"}[dataset]  # the model kind the dataset takes
-    cfg = {"model": {"kind": kind}, "data": {"dataset": dataset}, "train": train}
-    with pytest.raises(ConfigError, match="train.task") as exc:
-        C.read_run(cfg)
-    assert f"task = {C.DATASET_TASKS[dataset]}" in str(exc.value)
+@pytest.mark.parametrize("dataset, task, inputs, outputs", [
+    ("blobs", "classification", (2, 3, 16, 16), (2, tr.BLOBS_CLASSES)),  # convnet on images
+    ("lorenz", "regression", (2, 3 * C.LORENZ_WINDOW), (2, 3)),  # mlp on flat windows
+])
+def test_the_dataset_fixes_the_task_and_the_model(dataset, task, inputs, outputs):
+    _, tcfg, net = C.read_run({"data": {"dataset": dataset}})
+    assert tcfg == tr.TrainConfig(task=task)
+    assert net(T.Tensor(np.zeros(inputs))).data.shape == outputs

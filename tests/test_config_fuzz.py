@@ -24,11 +24,10 @@ from hxnn.cli import EXPERIMENT_KEYS
 # working configs: the console-script checks' PHM mlp and PHC convnet,
 # and their blobs and Lorenz experiments
 RUNS = [
-    {"model": {"kind": "mlp", "algebra": "phm", "n": "2", "hidden": "8"},
+    {"model": {"algebra": "phm", "n": "2", "hidden": "8"},
      "data": {"dataset": "lorenz", "count": "4", "steps": "200"}, "train": {"epochs": "1"}},
-    {"model": {"kind": "convnet", "algebra": "phm", "n": "3", "channels": "6", "classes": "4"},
-     "data": {"dataset": "blobs", "samples_per_class": "24"},
-     "train": {"epochs": "1", "task": "classification"}},
+    {"model": {"algebra": "phm", "n": "3", "channels": "6"},
+     "data": {"dataset": "blobs", "samples_per_class": "24"}, "train": {"epochs": "1"}},
 ]
 EXPERIMENTS = {
     ex.BlobsConfig: {"model": {"channels": "6"}, "data": {"samples_per_class": "24", "size": "8"},
@@ -41,20 +40,19 @@ ints = lambda lo, hi: st.integers(lo, hi).map(str)
 ODD = st.sampled_from(["nan", "-1", "", "1,,2", "0", "inf", "-inf", "1e400", "x", "8,16"])
 NUMBER = st.one_of(ints(-3, 3), ints(-3, 3000), st.floats().map(repr))
 VALUES = {
-    "kind": st.sampled_from(["mlp", "convnet", "rnn"]),
     "algebra": st.sampled_from([*BUILTIN_NAMES, "phm", "quat"]),
     "dataset": st.sampled_from(["lorenz", "blobs", "mnist"]),
     "activation": st.sampled_from(["relu", "sigmoid", "none", "tanh", "Relu"]),
     "optimizer": st.sampled_from(["adam", "sgd", "adamw"]),
-    "task": st.sampled_from(["regression", "classification", "ranking"]),
     "n": ints(-1, 8),
     "window": ints(-1, 21),  # 3 * window input features
     "channels": ints(-1, 64),
     "hidden": st.lists(ints(-1, 64), max_size=3).map(",".join),
-    "classes": ints(-1, 6),
 }
 KEYS = [(section, key) for section in C.SECTIONS for key in sorted(C.ALLOWED_KEYS[section])]
-UNKNOWN = [("train", "epochz"), ("model", "width"), ("optimizer", "lr")]
+# unknown keys, the ones the dataset fixes among them
+UNKNOWN = [("train", "epochz"), ("model", "width"), ("optimizer", "lr"), ("model", "kind"),
+           ("model", "classes"), ("train", "task")]
 
 
 def render(cfg):

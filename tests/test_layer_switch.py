@@ -102,11 +102,11 @@ def builder_digest():
     for algebra, extra in (("real", {}), ("quaternion", {}), ("phm", {}), ("phm", {"n": "4"})):
         model = {"algebra": algebra, "activation": "sigmoid", **extra}
         train = {"train": {"seed": "3"}}
-        _feed(h, C.read_model({"model": {"kind": "mlp", "hidden": "8,16", **model},
-                               **train})())
+        _feed(h, C.read_model({"model": {"hidden": "8,16", **model},
+                               "data": {"dataset": "lorenz"}, **train})())
         try:
-            _feed(h, C.read_model({"model": {"kind": "convnet", "channels": "12", **model},
-                                   **train})())
+            _feed(h, C.read_model({"model": {"channels": "12", **model},
+                                   "data": {"dataset": "blobs"}, **train})())
         except DivisibilityError:  # 3 input channels and n = 4
             h.update(f"{algebra} {extra} convnet: DivisibilityError".encode())
     rows = ex.experiment_param_table(["fc:64:64", "conv:24:24:3", "fc:12:24", "conv:6:12:1"])

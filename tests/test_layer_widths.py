@@ -8,9 +8,8 @@ fixes, under the key's name: the convnet's 3 image channels and
 for the flat Lorenz encoding) and each ``[model] hidden`` width (a PHM
 ``n`` below 1 fails first).  ``config.read_run`` then builds the model,
 so every other check a layer constructor makes, such as an unknown
-activation, also fails before any data; so does a ``[model] classes``
-other than the blobs task's 4.  ``BlobsConfig`` checks ``channels``
-against the n = 3 of its PHC classifier.
+activation, also fails before any data.  ``BlobsConfig`` checks
+``channels`` against the n = 3 of its PHC classifier.
 """
 import re
 
@@ -36,13 +35,12 @@ def made(monkeypatch):
 
 
 def convnet_cfg(algebra="algebra = phm\nn = 3", channels=6):
-    return (f"[model]\nkind = convnet\n{algebra}\nchannels = {channels}\n"
-            "[data]\ndataset = blobs\nsamples_per_class = 24\n"
-            "[train]\nepochs = 1\ntask = classification\n")
+    return (f"[model]\n{algebra}\nchannels = {channels}\n"
+            "[data]\ndataset = blobs\nsamples_per_class = 24\n[train]\nepochs = 1\n")
 
 
 def mlp_cfg(algebra="algebra = phm\nn = 3", hidden="6", data=""):
-    return (f"[model]\nkind = mlp\n{algebra}\nhidden = {hidden}\n"
+    return (f"[model]\n{algebra}\nhidden = {hidden}\n"
             f"[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n{data}[train]\nepochs = 1\n")
 
 
@@ -112,8 +110,6 @@ def test_read_run_keeps_widths_n_divides(cfg_text):
 @pytest.mark.parametrize("cfg_text, message", [
     (mlp_cfg("algebra = phm\nn = 3\nactivation = tanh"), "unknown activation 'tanh'"),
     (convnet_cfg("algebra = phm\nn = 3\nactivation = tanh"), "unknown activation 'tanh'"),
-    (convnet_cfg("algebra = phm\nn = 3\nclasses = 3"), "model.classes=3: blobs has 4 classes"),
-    (convnet_cfg("algebra = real\nclasses = 5"), "model.classes=5: blobs has 4 classes"),
 ])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_cli_with_a_model_its_layers_reject_exits_one_before_making_data(

@@ -95,7 +95,7 @@ def test_lorenz_data_accepts_a_dt_that_stays_finite(dt):
 
 @pytest.mark.parametrize("command, text", [
     (["experiment", "lorenz"], "[data]\ncount = 4\nsteps = 200\ndt = nan\n"),
-    (["train"], "[model]\nkind = mlp\nalgebra = phm\nn = 2\nhidden = 8\n"
+    (["train"], "[model]\nalgebra = phm\nn = 2\nhidden = 8\n"
                 "[data]\ndataset = lorenz\ncount = 4\nsteps = 200\ndt = nan\n"
                 "[train]\nepochs = 1\n"),
 ], ids=["experiment", "train"])

@@ -1,5 +1,6 @@
-"""A model file is one pass each way: ``save_model`` and ``load_model``
-describe each layer once, and ``load_model`` checks the declared tensor
+"""A model file is one pass each way: ``save_model`` describes each layer
+once, ``load_model`` takes each rebuilt layer's stored tensors once
+without describing it, and ``load_model`` checks the declared tensor
 sizes against the payload bytes left before it rebuilds any layer, so a
 payload short or long by any number of bytes raises ``FormatError``
 with no layer built."""
@@ -50,13 +51,15 @@ def test_a_padded_file_raises_format_error_before_any_layer_is_rebuilt(pad):
     assert rebuild.call_count == 0
 
 
-def test_save_and_load_each_describe_every_layer_once():
+def test_save_describes_and_load_stores_every_layer_once():
     model = three_layer_model()
     with counted("_describe") as describe:
         assert saved_blob(model) == BLOB
     assert describe.call_count == len(model.layers)
-    with counted("_describe") as describe, counted("_rebuild") as rebuild:
+    with counted("_describe") as describe, counted("_stored") as stored, \
+            counted("_rebuild") as rebuild:
         loaded = load_bytes(BLOB)
-    assert describe.call_count == rebuild.call_count == len(model.layers)
+    assert describe.call_count == 0
+    assert stored.call_count == rebuild.call_count == len(model.layers)
     assert [p.data.tobytes() for p in loaded.parameters()] == [
         p.data.tobytes() for p in model.parameters()]

@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hxnn import config as C
 from hxnn import experiments as ex
 from hxnn import serialize as S
 from hxnn import tensor as T
@@ -136,7 +137,7 @@ def test_cli_train_with_a_bad_adam_constant_exits_one_before_any_data_is_made(
 
     monkeypatch.setattr(tr, "lorenz_trajectories", no_data)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[model]\nkind = mlp\n[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
+    cfg.write_text("[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
                    f"[train]\nepochs = 1\n{line}\n")
     assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert shown in capsys.readouterr().err
@@ -184,18 +185,27 @@ def test_cli_train_with_a_nan_early_stop_exits_one_before_any_data_is_made(
     made = []
     monkeypatch.setattr(tr, "lorenz_trajectories", lambda *a, **k: made.append(a))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[model]\nkind = mlp\n[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
+    cfg.write_text("[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
                    "[train]\nepochs = 2\nearly_stop_train_loss = nan\n")
     assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "early_stop_train_loss=nan" in capsys.readouterr().err
     assert made == [] and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("cls", [tr.TrainConfig, ex.BlobsConfig, ex.LorenzConfig])
-def test_a_config_rejects_a_negative_seed(cls):
+def read(reader, dataset):
+    """``reader`` of the config module on a config with only ``dataset``
+    and a seed, as a function of the seed."""
+    return lambda seed: reader({"data": {"dataset": dataset}, "train": {"seed": str(seed)}})
+
+
+@pytest.mark.parametrize("make", [tr.TrainConfig, ex.BlobsConfig, ex.LorenzConfig,
+                                  read(C.read_model, "lorenz"), read(C.read_dataset, "blobs")],
+                         ids=["TrainConfig", "BlobsConfig", "LorenzConfig", "read_model",
+                              "read_dataset"])
+def test_a_config_rejects_a_negative_seed(make):
     with pytest.raises(ConfigError, match="seed=-1: must not be negative"):
-        cls(seed=-1)
-    assert cls(seed=0).seed == 0
+        make(seed=-1)
+    make(seed=0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -210,7 +220,7 @@ def test_cli_with_a_negative_seed_exits_one_before_making_data(argv, capsys, mon
     for maker in ("make_rgb_blobs", "linear_probe_accuracy", "lorenz_trajectories"):
         monkeypatch.setattr(tr, maker, lambda *a, **k: made.append(a))
     cfg, model = tmp_path / "run.cfg", tmp_path / "model.hxnn"
-    run = "[model]\nkind = mlp\n[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
+    run = "[data]\ndataset = lorenz\ncount = 4\nsteps = 200\n"
     cfg.write_text((run if argv[1] != "lorenz" else "") + "[train]\nepochs = 1\nseed = -1\n")
     S.save_model(tr.Network([HFCLayer(builtin("real"), 24, 3)]), model)
     paths = {"{cfg}": str(cfg), "{model}": str(model), "{out}": str(tmp_path / "out")}

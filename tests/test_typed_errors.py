@@ -76,18 +76,18 @@ def test_bad_constructor_arguments_in_a_file_raise_format_error(layer, old, new,
         S.load_model(file_with_cfg(tmp_path, layer, old, new))
 
 
-@pytest.mark.parametrize("model", [
-    {"kind": "mlp", "activation": "reLU"},
-    {"kind": "mlp", "algebra": "phm", "activation": "Relu"},
-    {"kind": "mlp", "hidden": "0"},
-    {"kind": "mlp", "hidden": "32,x"},
-    {"kind": "convnet", "activation": "tanh"},
-    {"kind": "convnet", "channels": "0"},
-    {"kind": "convnet", "algebra": "phm", "n": "3", "channels": "0"},
+@pytest.mark.parametrize("dataset, model", [
+    ("lorenz", {"activation": "reLU"}),
+    ("lorenz", {"algebra": "phm", "activation": "Relu"}),
+    ("lorenz", {"hidden": "0"}),
+    ("lorenz", {"hidden": "32,x"}),
+    ("blobs", {"activation": "tanh"}),
+    ("blobs", {"channels": "0"}),
+    ("blobs", {"algebra": "phm", "n": "3", "channels": "0"}),
 ])
-def test_bad_constructor_arguments_in_a_config_raise_config_error(model):
+def test_bad_constructor_arguments_in_a_config_raise_config_error(dataset, model):
     with pytest.raises(ConfigError):
-        C.read_model({"model": model, "train": {"seed": "1"}})()
+        C.read_model({"model": model, "data": {"dataset": dataset}, "train": {"seed": "1"}})()
 
 
 def every_kind_model():
@@ -267,13 +267,15 @@ BAD_VALUES = {
     "phatt mode": (lambda: PHAttBlock(2, 4, mode="soft"), ConfigError, "'soft'"),
     "phatt heads": (lambda: PHAttBlock(2, 6, heads=4), DivisibilityError, "features=6"),
     "phatt input": (lambda: PHAttBlock(2, 4)(zeros(2, 4)), ShapeError, "(2, 4)"),
-    "config line": (lambda: C.parse_config("[model]\nkind mlp\n"), ConfigError, "'kind mlp'"),
+    "config line": (lambda: C.parse_config("[model]\nhidden 8\n"), ConfigError, "'hidden 8'"),
     "config dataset missing": (lambda: C.read_dataset({"data": {}}), ConfigError, "'dataset'"),
     "config dataset": (lambda: C.read_dataset({"data": {"dataset": "mnist"}}), ConfigError,
                        "'mnist'"),
-    "config algebra": (lambda: C.read_model({"model": {"kind": "mlp", "algebra": "quat"}}),
+    "config algebra": (lambda: C.read_model({"model": {"algebra": "quat"},
+                                             "data": {"dataset": "lorenz"}}),
                        ConfigError, "'quat'"),
-    "config model kind": (lambda: C.read_model({"model": {"kind": "rnn"}}), ConfigError, "'rnn'"),
+    "config model dataset": (lambda: C.read_model({"data": {"dataset": "mnist"}}), ConfigError,
+                             "'mnist'"),
 }
 
 
