@@ -286,6 +286,19 @@ def test_cli_train_and_eval_reject_a_key_the_dataset_fixes(dataset, section, lin
                                                              tmp_path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("", "missing required key 'dataset' in [data]"),
+    ("dataset = mnist\n", "unknown dataset 'mnist'"),
+], ids=["missing", "mnist"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_train_and_eval_reject_a_dataset_other_than_blobs_or_lorenz(
+        line, message, command, capsys, monkeypatch, tmp_path):
+    """``[data] dataset`` alone picks the run, so without one of the two
+    names there is no model to build and no data to make."""
+    text = BLOBS_CFG.replace("dataset = blobs\n", line, 1)
+    assert message in rejected(command, text, capsys, monkeypatch, tmp_path)
+
+
 def test_cli_train_and_eval_share_a_lorenz_mlp_config(capsys, tmp_path):
     cfg = tmp_path / "lorenz.cfg"
     cfg.write_text(LORENZ_MLP_CFG)
